@@ -6,61 +6,26 @@
 // ψ: how much of GE's limited scalability was the collective algorithm?
 #include <iostream>
 
-#include "common.hpp"
-#include "hetscale/algos/ge.hpp"
-#include "hetscale/numeric/linsolve.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
-
-namespace {
-
-using namespace hetscale;
-
-/// GE combination with an overridden collective tuning.
-class TunedGeCombination final : public scal::ClusterCombination {
- public:
-  TunedGeCombination(std::string name, Config config,
-                     vmpi::CollectiveTuning tuning)
-      : ClusterCombination(std::move(name), std::move(config)),
-        tuning_(tuning) {}
-
-  double work(std::int64_t n) const override {
-    return numeric::ge_workload(static_cast<double>(n));
-  }
-
- private:
-  // The tuning changes timing, so it must be part of the measurement-store
-  // fingerprint — otherwise flat and binomial runs would alias.
-  std::string algo_key() const override {
-    return "ge:bcast=" + std::to_string(static_cast<int>(tuning_.small_bcast)) +
-           ",large>=" + std::to_string(tuning_.large_bcast_threshold_bytes);
-  }
-
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override {
-    machine.set_tuning(tuning_);
-    algos::GeOptions options;
-    options.n = n;
-    options.with_data = false;
-    options.speeds = rank_speeds();
-    const auto result = algos::run_parallel_ge(machine, options);
-    return RunOutcome{result.work_flops, result.run.elapsed,
-                      result.run.overhead_s()};
-  }
-
-  vmpi::CollectiveTuning tuning_;
-};
-
-}  // namespace
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 int main() {
-  bench::print_header(
+  using namespace hetscale;
+  std::cout << scenarios::artifact_header(
       "Ablation  Collective algorithms (flat vs binomial bcast)",
       "GE ladder at E_s = 0.3 under the paper's flat-tree MPI vs a "
       "binomial-tree one.");
 
-  vmpi::CollectiveTuning flat;  // defaults: flat, matches the paper's MPICH
-  vmpi::CollectiveTuning tree;
-  tree.small_bcast = vmpi::BcastAlgorithm::kBinomialTree;
+  // ge_config carries the paper's MPICH, CollectiveTuning::legacy_flat();
+  // the binomial variant changes only its short broadcasts. The tuning is
+  // part of the measurement-store fingerprint, so the two never alias.
+  auto tuned_config = [](int nodes, vmpi::BcastAlgorithm small_bcast) {
+    auto config = scenarios::ge_config(nodes);
+    config.tuning.small_bcast = small_bcast;
+    return config;
+  };
 
   Table table;
   table.set_header({"Nodes", "N (flat)", "N (binomial)", "psi step (flat)",
@@ -70,12 +35,14 @@ int main() {
   double prev_tree_c = 0;
   double prev_tree_w = 0;
   for (int nodes : {2, 4, 8, 16}) {
-    TunedGeCombination with_flat("flat", bench::ge_config(nodes), flat);
-    TunedGeCombination with_tree("tree", bench::ge_config(nodes), tree);
+    scal::GeCombination with_flat(
+        "flat", tuned_config(nodes, vmpi::BcastAlgorithm::kFlatTree));
+    scal::GeCombination with_tree(
+        "tree", tuned_config(nodes, vmpi::BcastAlgorithm::kBinomialTree));
     const auto flat_point =
-        scal::required_problem_size(with_flat, bench::kGeTargetEs);
+        scal::required_problem_size(with_flat, scenarios::kGeTargetEs);
     const auto tree_point =
-        scal::required_problem_size(with_tree, bench::kGeTargetEs);
+        scal::required_problem_size(with_tree, scenarios::kGeTargetEs);
     std::string flat_psi = "-";
     std::string tree_psi = "-";
     if (prev_flat_c > 0) {

@@ -5,9 +5,10 @@
 //     required problem size blow up?
 #include <iostream>
 
-#include "common.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/series.hpp"
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 namespace {
 
@@ -17,20 +18,23 @@ void fabric_comparison() {
   Table table("psi per scaling step, switched vs shared bus");
   table.set_header({"Algorithm", "Step", "psi (switched)", "psi (shared bus)"});
   for (bool ge : {true, false}) {
-    const double target = ge ? bench::kGeTargetEs : bench::kMmTargetEs;
+    const double target =
+        ge ? scenarios::kGeTargetEs : scenarios::kMmTargetEs;
     std::vector<std::unique_ptr<scal::Combination>> sw_owned;
     std::vector<std::unique_ptr<scal::Combination>> bus_owned;
     std::vector<scal::Combination*> sw;
     std::vector<scal::Combination*> bus;
     for (int nodes : {2, 4, 8}) {
       if (ge) {
-        sw_owned.push_back(bench::make_ge(nodes, scal::NetworkKind::kSwitched));
+        sw_owned.push_back(
+            scenarios::make_ge(nodes, scal::NetworkKind::kSwitched));
         bus_owned.push_back(
-            bench::make_ge(nodes, scal::NetworkKind::kSharedBus));
+            scenarios::make_ge(nodes, scal::NetworkKind::kSharedBus));
       } else {
-        sw_owned.push_back(bench::make_mm(nodes, scal::NetworkKind::kSwitched));
+        sw_owned.push_back(
+            scenarios::make_mm(nodes, scal::NetworkKind::kSwitched));
         bus_owned.push_back(
-            bench::make_mm(nodes, scal::NetworkKind::kSharedBus));
+            scenarios::make_mm(nodes, scal::NetworkKind::kSharedBus));
       }
       sw.push_back(sw_owned.back().get());
       bus.push_back(bus_owned.back().get());
@@ -54,12 +58,12 @@ void parameter_sweeps() {
   table.set_header({"Bandwidth (MB/s)", "Latency (us)", "Required N"});
   for (double mbps : {1.25, 12.5, 125.0}) {
     for (double latency_us : {10.0, 50.0, 500.0}) {
-      auto config = bench::ge_config(4);
+      auto config = scenarios::ge_config(4);
       config.net_params.remote.bandwidth_Bps = mbps * 1e6;
       config.net_params.remote.latency_s = latency_us * 1e-6;
       scal::GeCombination combo("GE-4", std::move(config));
       const auto solved =
-          scal::required_problem_size(combo, bench::kGeTargetEs);
+          scal::required_problem_size(combo, scenarios::kGeTargetEs);
       table.add_row({Table::num(mbps, 2), Table::num(latency_us, 1),
                      solved.found ? std::to_string(solved.n) : "unreachable"});
     }
@@ -72,8 +76,9 @@ void parameter_sweeps() {
 }  // namespace
 
 int main() {
-  bench::print_header("Ablation  Network fabric and parameters",
-                      "Switched vs shared bus; bandwidth/latency sweeps.");
+  std::cout << scenarios::artifact_header(
+      "Ablation  Network fabric and parameters",
+      "Switched vs shared bus; bandwidth/latency sweeps.");
   fabric_comparison();
   parameter_sweeps();
   return 0;

@@ -6,46 +6,15 @@
 // Same arithmetic, same W(N) — how much scalability was left on the table?
 #include <iostream>
 
-#include "common.hpp"
 #include "hetscale/algos/ge.hpp"
-#include "hetscale/numeric/linsolve.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
-
-namespace {
-
-using namespace hetscale;
-
-class PipelinedGeCombination final : public scal::ClusterCombination {
- public:
-  PipelinedGeCombination(std::string name, Config config)
-      : ClusterCombination(std::move(name), std::move(config)) {}
-
-  double work(std::int64_t n) const override {
-    return numeric::ge_workload(static_cast<double>(n));
-  }
-
- private:
-  // Distinct from plain "ge": pipelining changes the timing, so the two
-  // must not share measurement-store entries.
-  std::string algo_key() const override { return "ge:pipelined"; }
-
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override {
-    algos::GeOptions options;
-    options.n = n;
-    options.with_data = false;
-    options.pipelined = true;
-    options.speeds = rank_speeds();
-    const auto result = algos::run_parallel_ge(machine, options);
-    return RunOutcome{result.work_flops, result.run.elapsed,
-                      result.run.overhead_s()};
-  }
-};
-
-}  // namespace
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 int main() {
-  bench::print_header(
+  using namespace hetscale;
+  std::cout << scenarios::artifact_header(
       "Ablation  Pipelined GE (overlapped pivot distribution)",
       "Paper's synchronous GE vs lookahead-1 pipelining, E_s = 0.3.");
 
@@ -54,13 +23,22 @@ int main() {
                     "psi step (paper)", "psi step (pipelined)"});
   double prev_c[2] = {0, 0};
   double prev_w[2] = {0, 0};
+  // Same W(N) as GE; pipelining changes the timing, so the store key
+  // differs from plain "ge" and the two never share measurements.
+  scal::Algorithm pipelined_ge = scal::ge_algorithm();
+  pipelined_ge.key = "ge:pipelined";
+  algos::GeOptions pipelined_options;
+  pipelined_options.pipelined = true;
+  pipelined_ge.run = scal::run_with(pipelined_options, algos::run_parallel_ge);
+
   for (int nodes : {2, 4, 8, 16}) {
-    scal::GeCombination paper("paper", bench::ge_config(nodes));
-    PipelinedGeCombination pipelined("pipelined", bench::ge_config(nodes));
+    scal::GeCombination paper("paper", scenarios::ge_config(nodes));
+    scal::ClusterCombination pipelined("pipelined", scenarios::ge_config(nodes),
+                                       pipelined_ge);
     const auto paper_point =
-        scal::required_problem_size(paper, bench::kGeTargetEs);
+        scal::required_problem_size(paper, scenarios::kGeTargetEs);
     const auto pipe_point =
-        scal::required_problem_size(pipelined, bench::kGeTargetEs);
+        scal::required_problem_size(pipelined, scenarios::kGeTargetEs);
     std::string psi[2] = {"-", "-"};
     const double c[2] = {paper.marked_speed(), pipelined.marked_speed()};
     const double w[2] = {paper.work(paper_point.n),

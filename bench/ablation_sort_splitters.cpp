@@ -7,14 +7,15 @@
 // bench quantifies the benefit and runs the metric pipeline over it.
 #include <iostream>
 
-#include "common.hpp"
 #include "hetscale/algos/sort.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 int main() {
   using namespace hetscale;
-  bench::print_header(
+  std::cout << scenarios::artifact_header(
       "Ablation  Sample-sort splitter policy",
       "Uniform vs marked-speed-proportional splitters on mixed ensembles.");
 
@@ -45,8 +46,9 @@ int main() {
   double prev_w = 0;
   std::string prev_name;
   for (int nodes : {4, 8, 16}) {
-    scal::SortCombination combo("sort-" + std::to_string(nodes),
-                                bench::mm_config(nodes));
+    scal::ClusterCombination combo("sort-" + std::to_string(nodes),
+                                   scenarios::mm_config(nodes),
+                                   scal::sort_algorithm());
     scal::IsoSolveOptions options;
     options.n_min = static_cast<std::int64_t>(combo.processor_count()) *
                     combo.processor_count();

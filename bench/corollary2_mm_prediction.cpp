@@ -6,15 +6,16 @@
 // against the measured Table 5 values.
 #include <iostream>
 
-#include "common.hpp"
 #include "hetscale/numeric/stats.hpp"
 #include "hetscale/predict/models.hpp"
 #include "hetscale/predict/probe.hpp"
 #include "hetscale/scal/series.hpp"
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 int main() {
   using namespace hetscale;
-  bench::print_header(
+  std::cout << scenarios::artifact_header(
       "Corollary 2 on MM  (beyond the paper)",
       "psi = To/To' with probed comm parameters vs measured MM psi at "
       "E_s = 0.2.");
@@ -26,10 +27,10 @@ int main() {
   std::vector<std::unique_ptr<scal::MmCombination>> combos;
   std::vector<scal::Combination*> ptrs;
   for (int nodes : {2, 4, 8, 16}) {
-    combos.push_back(bench::make_mm(nodes));
+    combos.push_back(scenarios::make_mm(nodes));
     ptrs.push_back(combos.back().get());
   }
-  const auto measured = scal::scalability_series(ptrs, bench::kMmTargetEs);
+  const auto measured = scal::scalability_series(ptrs, scenarios::kMmTargetEs);
 
   Table table;
   table.set_header(
@@ -41,7 +42,7 @@ int main() {
     const auto to = predict::system_model_for(
         machine::sunwulf::mm_ensemble(node_counts[i + 1]), comm);
     const double predicted =
-        predict::predicted_scalability(model, from, to, bench::kMmTargetEs);
+        predict::predicted_scalability(model, from, to, scenarios::kMmTargetEs);
     const double got = measured.steps[i].psi;
     table.add_row({"psi(C" + std::to_string(node_counts[i]) + "', C" +
                        std::to_string(node_counts[i + 1]) + "')",

@@ -8,12 +8,13 @@
 // heterogeneity as a capacity feature, not just a speed mix.
 #include <iostream>
 
-#include "common.hpp"
 #include "hetscale/scal/capacity.hpp"
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 int main() {
   using namespace hetscale;
-  bench::print_header(
+  std::cout << scenarios::artifact_header(
       "Memory-bounded scaling  GE at E_s = 0.3 on all-SunBlade systems",
       "Required N vs the largest N that fits (root holds the full matrix "
       "in 128 MB).");
@@ -27,7 +28,7 @@ int main() {
     scal::GeCombination combo("blades-" + std::to_string(nodes),
                               std::move(config));
     const auto result = scal::memory_bounded_required_size(
-        combo, bench::kGeTargetEs, scal::ge_footprint());
+        combo, scenarios::kGeTargetEs, scal::ge_footprint());
     table.add_row(
         {std::to_string(nodes),
          result.solve.found ? std::to_string(result.solve.n) : "> fits",
@@ -46,7 +47,7 @@ int main() {
     scal::GeCombination combo("ge-" + std::to_string(nodes),
                               std::move(config));
     const auto result = scal::memory_bounded_required_size(
-        combo, bench::kGeTargetEs, scal::ge_footprint());
+        combo, scenarios::kGeTargetEs, scal::ge_footprint());
     mixed.add_row(
         {std::to_string(nodes),
          result.solve.found ? std::to_string(result.solve.n) : "> fits",

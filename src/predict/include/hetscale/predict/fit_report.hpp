@@ -3,7 +3,8 @@
 //
 // For one algorithm's FitDataset the study (a) fits every zoo model and
 // cross-validates it leave-one-point-out, (b) scores the *unfitted*
-// analytic Theorem-1 pipeline (overhead_model_for + a probed CommModel)
+// analytic Theorem-1 pipeline (the caller's OverheadModel + a probed
+// CommModel)
 // on the same points, and (c) ranks the models by cross-validated RMSE.
 // A model "beats analytic" when its held-out error is below the analytic
 // model's in-sample error — a deliberately generous bar for the analytic
@@ -50,11 +51,11 @@ struct AlgoFitStudy {
 };
 
 /// Fit + cross-validate every zoo model on `data` and score the analytic
-/// model (overhead_model_for(data.algo) — dataset sweeps must match the
-/// model's, 50 for jacobi/spmv) with a SystemModel built per point from
-/// the point's own p / marked_speed / root_speed and the probed `comm`.
-/// Ties in cv rmse keep the zoo's canonical model order.
+/// `model` (its sweep counts must match the dataset's) with a SystemModel
+/// built per point from the point's own p / marked_speed / root_speed and
+/// the probed `comm`. Ties in cv rmse keep the zoo's canonical model order.
 AlgoFitStudy build_algo_fit_study(const scal::FitDataset& data,
+                                  const OverheadModel& model,
                                   const CommModel& comm,
                                   const LmOptions& options = {});
 

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -120,12 +119,6 @@ class SpmvOverheadModel final : public OverheadModel {
  private:
   std::int64_t sweeps_;
 };
-
-/// The analytic model for a CLI algorithm name ("ge", "mm", "jacobi",
-/// "spmv"). Throws PreconditionError naming the supported algorithms for
-/// anything else — unsupported algos fail loudly, never silently fall back
-/// to GE.
-std::unique_ptr<OverheadModel> overhead_model_for(const std::string& algo);
 
 /// Predicted execution time T(N) = (W - W_seq)/C + t0 + To.
 double predicted_time(const OverheadModel& model, const SystemModel& system,

@@ -2,10 +2,10 @@
 //
 // A Scenario wraps one paper artifact (a table, a figure, an ablation) as
 // a function from a RunContext (worker pool + output format) to a
-// RunResult. Scenarios register under a stable name; the bench binaries
-// and `hetscale_cli run <name>` both resolve through this registry, so
-// every artifact has exactly one implementation and a one-command
-// regeneration path with `--jobs N` parallelism.
+// RunResult. Scenarios register under a stable name and
+// `hetscale_cli run <name>` resolves through this registry, so every
+// artifact has exactly one implementation and a one-command regeneration
+// path with `--jobs N` parallelism.
 #pragma once
 
 #include <cstdint>
@@ -60,12 +60,5 @@ OutputFormat parse_format(const std::string& text);
 /// table, or its JSON record).
 const std::string& render(const RunResult& result, OutputFormat format,
                           std::string& storage);
-
-/// Shared main() for scenario-backed binaries and the CLI `run` command:
-/// parses --format=text|csv|json, --jobs N / -j N (HETSCALE_JOBS fallback),
-/// --seed N (HETSCALE_SEED fallback), --profile (time-budget report on
-/// stderr), and --help from argv[1..], runs the named scenario, prints to
-/// stdout. Returns a process exit code.
-int scenario_main(const std::string& name, int argc, const char* const* argv);
 
 }  // namespace hetscale::run

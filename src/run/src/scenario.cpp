@@ -1,12 +1,8 @@
 #include "hetscale/run/scenario.hpp"
 
-#include <iostream>
 #include <map>
-#include <optional>
 #include <utility>
 
-#include "hetscale/obs/report.hpp"
-#include "hetscale/support/args.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::run {
@@ -63,56 +59,6 @@ const std::string& render(const RunResult& result, OutputFormat format,
       return storage;
   }
   throw PreconditionError("invalid output format");
-}
-
-int scenario_main(const std::string& name, int argc,
-                  const char* const* argv) {
-  try {
-    ArgParser args;
-    args.add_flag("format", "output format: text, csv, json", "text");
-    args.add_bool("profile",
-                  "profile the run; prints a time-budget report to stderr");
-    args.add_bool("help", "show this help");
-    add_jobs_flag(args);
-    add_sim_threads_flag(args);
-    add_seed_flag(args);
-    args.parse(argc > 0 ? argc - 1 : 0, argv + 1);
-
-    const Scenario* scenario = find_scenario(name);
-    HETSCALE_REQUIRE(scenario != nullptr,
-                     "scenario '" + name + "' is not registered");
-    if (args.has("help")) {
-      std::cout << scenario->name << " — " << scenario->summary << "\n\n"
-                << args.help(scenario->name);
-      return 0;
-    }
-
-    Runner runner(resolve_jobs(args));
-    set_global_sim_threads(resolve_sim_threads(args));
-    std::optional<obs::Profiler> profiler;
-    std::optional<obs::ProfilerScope> profiler_scope;
-    if (args.has("profile")) {
-      profiler.emplace();
-      profiler_scope.emplace(*profiler);
-    }
-    const RunContext context{runner, parse_format(args.get("format")),
-                             resolve_seed(args),
-                             profiler ? &*profiler : nullptr};
-    const RunResult result = scenario->run(context);
-    profiler_scope.reset();
-    std::string storage;
-    std::cout << render(result, context.format, storage);
-    if (profiler) {
-      obs::ReportOptions options;
-      options.subject = scenario->name;
-      options.include_wall = true;
-      std::cerr << profiler->report(options).to_table().str();
-    }
-    return 0;
-  } catch (const hetscale::Error& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
 }
 
 }  // namespace hetscale::run

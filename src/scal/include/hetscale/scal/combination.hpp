@@ -12,10 +12,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hetscale/algos/sort.hpp"
@@ -43,9 +45,75 @@ struct Measurement {
 
 enum class NetworkKind { kSharedBus, kSwitched };
 
-class ClusterCombination;
-struct ProfiledRun;  // scal/profile.hpp
-ProfiledRun profile_run(ClusterCombination& combination, std::int64_t n);
+/// What one run of an algorithm reports: the workload it performed, the
+/// simulated elapsed time, and the critical-path overhead T_o.
+struct RunOutcome {
+  double work_flops = 0.0;
+  double seconds = 0.0;
+  double overhead_s = 0.0;
+};
+
+/// The algorithm half of a combination, as a value.
+struct Algorithm {
+  /// Run once at size n on a fresh machine. Must be safe to call from
+  /// several worker threads at once, each with its own machine.
+  using Run = std::function<RunOutcome(vmpi::Machine& machine, std::int64_t n,
+                                       bool with_data,
+                                       const std::vector<double>& speeds)>;
+
+  /// Everything about the algorithm that determines a run, e.g.
+  /// "jacobi:sweeps=50". Combined with the cluster/network config into the
+  /// MeasurementStore fingerprint, so combinations measured under different
+  /// display names still share measurements.
+  std::string key;
+  std::function<double(std::int64_t n)> work;  ///< W(N)
+  Run run;
+};
+
+/// Adapt an algos::run_parallel_* entry point to Algorithm::Run. `base`
+/// carries the algorithm's own parameters; each run fills in n, with_data
+/// (where the options have it) and the per-rank marked speeds.
+template <class Options, class Result>
+Algorithm::Run run_with(Options base,
+                        Result (*run)(vmpi::Machine&, const Options&)) {
+  return [base = std::move(base), run](vmpi::Machine& machine, std::int64_t n,
+                                       bool with_data,
+                                       const std::vector<double>& speeds) {
+    Options options = base;
+    options.n = n;
+    if constexpr (requires { options.with_data; }) {
+      options.with_data = with_data;
+    }
+    options.speeds = speeds;
+    const Result result = run(machine, options);
+    return RunOutcome{result.work_flops, result.run.elapsed,
+                      result.run.overhead_s()};
+  };
+}
+
+/// The library's algorithms. GE and MM are the paper's; the rest are
+/// extensions (algos/*.hpp). SUMMA shares MM's W(N) and pivoted GE shares
+/// GE's — the pivot search and panel reconstruction are charged overhead,
+/// so its E_s sits below pivot-free GE by construction.
+Algorithm ge_algorithm();
+Algorithm mm_algorithm();
+/// Sample sort always runs on real keys — its load balance is
+/// data-dependent by nature.
+Algorithm sort_algorithm(
+    algos::SortSplitters splitters = algos::SortSplitters::kSpeedProportional);
+Algorithm jacobi_algorithm(std::int64_t sweeps);
+Algorithm summa_algorithm(std::int64_t tile = 64);
+Algorithm ge_pivot_algorithm(std::int64_t panel = 32);
+/// Iterated CSR SpMV, W(N) = sweeps * 2 * nnz(N). The row split is the
+/// ablation axis.
+Algorithm spmv_algorithm(std::int64_t sweeps = 50,
+                         algos::SpmvDistribution distribution =
+                             algos::SpmvDistribution::kHeterogeneousBlock);
+
+/// nnz-weighted dist::imbalance of the SpMV row split over ranks of
+/// `speeds` at size n — a pure function of the split, no simulation.
+double spmv_work_imbalance(const std::vector<double>& speeds, std::int64_t n,
+                           algos::SpmvDistribution distribution);
 
 /// Build a single-shot machine for one run of a combination. The tuning
 /// default is the paper-era flat collective family: every measurement path
@@ -80,7 +148,7 @@ class Combination {
       std::span<const std::int64_t> sizes, run::Runner& runner);
 };
 
-/// Common machinery for combinations that run on a simulated cluster.
+/// An algorithm on a simulated cluster.
 class ClusterCombination : public Combination {
  public:
   struct Config {
@@ -99,10 +167,11 @@ class ClusterCombination : public Combination {
     vmpi::CollectiveTuning tuning = vmpi::CollectiveTuning::legacy_flat();
   };
 
-  ClusterCombination(std::string name, Config config);
+  ClusterCombination(std::string name, Config config, Algorithm algorithm);
 
   const std::string& name() const override { return name_; }
   double marked_speed() const override { return marked_speed_; }
+  double work(std::int64_t n) const override { return algorithm_.work(n); }
   const Measurement& measure(std::int64_t n) override;
 
   /// Uncached sizes are simulated concurrently: every run builds its own
@@ -111,153 +180,53 @@ class ClusterCombination : public Combination {
   std::vector<Measurement> measure_many(std::span<const std::int64_t> sizes,
                                         run::Runner& runner) override;
 
+  const Config& config() const { return config_; }
   const machine::Cluster& cluster() const { return config_.cluster; }
   const std::vector<double>& rank_speeds() const { return rank_speeds_; }
   int processor_count() const { return config_.cluster.processor_count(); }
 
- protected:
-  /// Run the algorithm once on a fresh machine; return (work, elapsed,
-  /// critical-path overhead). Must be const: it may execute on several
-  /// worker threads at once for different machines.
-  struct RunOutcome {
-    double work_flops = 0.0;
-    double seconds = 0.0;
-    double overhead_s = 0.0;
-  };
-  virtual RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const = 0;
+  /// The MeasurementStore fingerprint: algorithm key plus system config.
+  const std::string& store_key() const { return store_key_; }
 
-  /// Everything about the *algorithm* that determines a run, e.g.
-  /// "jacobi:sweeps=50". Combined with the cluster/network config into the
-  /// MeasurementStore fingerprint, so combinations measured under different
-  /// display names still share measurements.
-  virtual std::string algo_key() const = 0;
-
-  const Config& config() const { return config_; }
+  /// Run the algorithm once on `machine`, uncached. The fault study and
+  /// the profiled path call it on machines of their own.
+  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const {
+    return algorithm_.run(machine, n, config_.with_data, rank_speeds_);
+  }
 
  private:
-  /// The fault study (scal/fault_study.hpp) replays run_once on a machine
-  /// whose network is wrapped in a fault::DegradedNetwork with a
-  /// fault::Injector attached — it needs the run hook and the config.
-  friend class FaultedCombination;
-
-  /// The profiled measurement path (scal/profile.hpp) re-runs compute()'s
-  /// recipe on its own machine so it can keep the tracer.
-  friend struct ProfiledRun;
-  friend ProfiledRun profile_run(ClusterCombination& combination,
-                                 std::int64_t n);
-
   /// One full simulation at size n — pure w.r.t. this object.
   Measurement compute(std::int64_t n) const;
 
-  /// The MeasurementStore fingerprint, built lazily (algo_key() is virtual,
-  /// so it cannot be computed in the constructor).
-  const std::string& store_key();
-
   std::string name_;
   Config config_;
+  Algorithm algorithm_;
   double marked_speed_ = 0.0;        ///< measured once, then constant
   std::vector<double> rank_speeds_;  ///< per-rank marked speeds
   std::map<std::int64_t, Measurement> cache_;
   std::string store_key_;
 };
 
-/// GE on a cluster (the paper's first combination).
+/// Names for the paper's two combinations and the Jacobi extension.
 class GeCombination final : public ClusterCombination {
  public:
-  GeCombination(std::string name, Config config);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override { return "ge"; }
+  GeCombination(std::string name, Config config)
+      : ClusterCombination(std::move(name), std::move(config),
+                           ge_algorithm()) {}
 };
 
-/// MM on a cluster (the paper's second combination).
 class MmCombination final : public ClusterCombination {
  public:
-  MmCombination(std::string name, Config config);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override { return "mm"; }
+  MmCombination(std::string name, Config config)
+      : ClusterCombination(std::move(name), std::move(config),
+                           mm_algorithm()) {}
 };
 
-/// Sample sort on a cluster (extension; see algos/sort.hpp). Always runs
-/// on real keys — its load balance is data-dependent by nature.
-class SortCombination final : public ClusterCombination {
- public:
-  SortCombination(std::string name, Config config,
-                  algos::SortSplitters splitters =
-                      algos::SortSplitters::kSpeedProportional);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override;
-  algos::SortSplitters splitters_;
-};
-
-/// Jacobi on a cluster (extension; see algos/jacobi.hpp).
 class JacobiCombination final : public ClusterCombination {
  public:
-  JacobiCombination(std::string name, Config config, std::int64_t sweeps);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override;
-  std::int64_t sweeps_;
-};
-
-/// SUMMA MM on a 2D speed-balanced process grid (see algos/summa.hpp).
-/// Same workload polynomial as MmCombination — the comparison between the
-/// two is purely about the communication pattern.
-class SummaCombination final : public ClusterCombination {
- public:
-  SummaCombination(std::string name, Config config, std::int64_t tile = 64);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override;
-  std::int64_t tile_;
-};
-
-/// Panel-blocked GE with partial pivoting (see algos/ge_pivot.hpp). The
-/// measurement's work is the useful GE workload; the pivot search and the
-/// redundant panel reconstruction are charged overhead, so its E_s sits
-/// below pivot-free GE by construction.
-class GePivotCombination final : public ClusterCombination {
- public:
-  GePivotCombination(std::string name, Config config, std::int64_t panel = 32);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override;
-  std::int64_t panel_;
-};
-
-/// Iterated CSR SpMV (see algos/spmv.hpp) — memory-bound and
-/// load-imbalanced; the distribution choice (heterogeneous vs homogeneous
-/// row blocks) is the ablation axis.
-class SpmvCombination final : public ClusterCombination {
- public:
-  SpmvCombination(std::string name, Config config, std::int64_t sweeps = 50,
-                  algos::SpmvDistribution distribution =
-                      algos::SpmvDistribution::kHeterogeneousBlock);
-  double work(std::int64_t n) const override;  ///< sweeps * 2 * nnz(n)
-
-  /// nnz-weighted dist::imbalance of the row split this combination uses at
-  /// size n — a pure function of the split, no simulation.
-  double work_imbalance(std::int64_t n) const;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override;
-  std::int64_t sweeps_;
-  algos::SpmvDistribution distribution_;
+  JacobiCombination(std::string name, Config config, std::int64_t sweeps)
+      : ClusterCombination(std::move(name), std::move(config),
+                           jacobi_algorithm(sweeps)) {}
 };
 
 /// A sampled speed-efficiency curve (the data behind Figs. 1–2).

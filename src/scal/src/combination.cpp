@@ -38,21 +38,17 @@ vmpi::Machine make_machine(const machine::Cluster& cluster, NetworkKind kind,
   return vmpi::Machine::switched(cluster, params, tuning);
 }
 
-ClusterCombination::ClusterCombination(std::string name, Config config)
-    : name_(std::move(name)), config_(std::move(config)) {
+ClusterCombination::ClusterCombination(std::string name, Config config,
+                                       Algorithm algorithm)
+    : name_(std::move(name)),
+      config_(std::move(config)),
+      algorithm_(std::move(algorithm)) {
   rank_speeds_ = marked::rank_marked_speeds(config_.cluster);
   marked_speed_ = 0.0;
   for (double c : rank_speeds_) marked_speed_ += c;
-}
-
-const std::string& ClusterCombination::store_key() {
-  // Lazy: algo_key() is virtual and cannot be called from the constructor.
-  if (store_key_.empty()) {
-    store_key_ = config_fingerprint(algo_key(), config_.cluster,
-                                    config_.network, config_.net_params,
-                                    config_.with_data, config_.tuning);
-  }
-  return store_key_;
+  store_key_ = config_fingerprint(algorithm_.key, config_.cluster,
+                                  config_.network, config_.net_params,
+                                  config_.with_data, config_.tuning);
 }
 
 const Measurement& ClusterCombination::measure(std::int64_t n) {
@@ -61,7 +57,7 @@ const Measurement& ClusterCombination::measure(std::int64_t n) {
   const auto [it, inserted] = cache_.try_emplace(n);
   if (!inserted) return it->second;
   auto& store = MeasurementStore::global();
-  if (store.enabled() && store.try_get(store_key(), n, it->second)) {
+  if (store.enabled() && store.try_get(store_key_, n, it->second)) {
     return it->second;
   }
   try {
@@ -70,7 +66,7 @@ const Measurement& ClusterCombination::measure(std::int64_t n) {
     cache_.erase(it);  // don't leave a default-constructed placeholder
     throw;
   }
-  if (store.enabled()) store.put(store_key(), n, it->second);
+  if (store.enabled()) store.put(store_key_, n, it->second);
   return it->second;
 }
 
@@ -104,7 +100,7 @@ std::vector<Measurement> ClusterCombination::measure_many(
   for (const auto n : sizes) {
     const auto [it, inserted] = cache_.try_emplace(n);
     if (!inserted) continue;
-    if (use_store && store.try_get(store_key(), n, it->second)) continue;
+    if (use_store && store.try_get(store_key_, n, it->second)) continue;
     batch.emplace_back(n, it);
   }
   // Shape the batch for the work-stealing Runner: ascending by problem
@@ -135,7 +131,7 @@ std::vector<Measurement> ClusterCombination::measure_many(
   }
   if (use_store) {
     for (const auto& [n, slot] : batch) {
-      store.put(store_key(), n, slot->second);
+      store.put(store_key_, n, slot->second);
     }
   }
 
@@ -145,165 +141,85 @@ std::vector<Measurement> ClusterCombination::measure_many(
   return out;
 }
 
-GeCombination::GeCombination(std::string name, Config config)
-    : ClusterCombination(std::move(name), std::move(config)) {}
+namespace {
 
-double GeCombination::work(std::int64_t n) const {
+double ge_work(std::int64_t n) {
   return numeric::ge_workload(static_cast<double>(n));
 }
 
-ClusterCombination::RunOutcome GeCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
-  algos::GeOptions options;
-  options.n = n;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_ge(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
-}
-
-MmCombination::MmCombination(std::string name, Config config)
-    : ClusterCombination(std::move(name), std::move(config)) {}
-
-double MmCombination::work(std::int64_t n) const {
+double mm_work(std::int64_t n) {
   return numeric::mm_workload(static_cast<double>(n));
 }
 
-ClusterCombination::RunOutcome MmCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
-  algos::MmOptions options;
-  options.n = n;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_mm(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
+}  // namespace
+
+Algorithm ge_algorithm() {
+  return {"ge", ge_work, run_with(algos::GeOptions{}, algos::run_parallel_ge)};
 }
 
-SortCombination::SortCombination(std::string name, Config config,
-                                 algos::SortSplitters splitters)
-    : ClusterCombination(std::move(name), std::move(config)),
-      splitters_(splitters) {}
-
-double SortCombination::work(std::int64_t n) const {
-  return algos::sort_workload(n);
+Algorithm mm_algorithm() {
+  return {"mm", mm_work, run_with(algos::MmOptions{}, algos::run_parallel_mm)};
 }
 
-std::string SortCombination::algo_key() const {
-  return "sort:" + std::to_string(static_cast<int>(splitters_));
-}
-
-ClusterCombination::RunOutcome SortCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
+Algorithm sort_algorithm(algos::SortSplitters splitters) {
   algos::SortOptions options;
-  options.n = n;
-  options.splitters = splitters_;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_sort(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
+  options.splitters = splitters;
+  return {"sort:" + std::to_string(static_cast<int>(splitters)),
+          algos::sort_workload,
+          run_with(options, algos::run_parallel_sort)};
 }
 
-JacobiCombination::JacobiCombination(std::string name, Config config,
-                                     std::int64_t sweeps)
-    : ClusterCombination(std::move(name), std::move(config)),
-      sweeps_(sweeps) {
-  HETSCALE_REQUIRE(sweeps_ >= 1, "Jacobi needs sweeps >= 1");
-}
-
-double JacobiCombination::work(std::int64_t n) const {
-  return algos::jacobi_workload(n, sweeps_);
-}
-
-std::string JacobiCombination::algo_key() const {
-  return "jacobi:sweeps=" + std::to_string(sweeps_);
-}
-
-ClusterCombination::RunOutcome JacobiCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
+Algorithm jacobi_algorithm(std::int64_t sweeps) {
+  HETSCALE_REQUIRE(sweeps >= 1, "Jacobi needs sweeps >= 1");
   algos::JacobiOptions options;
-  options.n = n;
-  options.sweeps = sweeps_;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_jacobi(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
+  options.sweeps = sweeps;
+  return {"jacobi:sweeps=" + std::to_string(sweeps),
+          [sweeps](std::int64_t n) {
+            return algos::jacobi_workload(n, sweeps);
+          },
+          run_with(options, algos::run_parallel_jacobi)};
 }
 
-SummaCombination::SummaCombination(std::string name, Config config,
-                                   std::int64_t tile)
-    : ClusterCombination(std::move(name), std::move(config)), tile_(tile) {
-  HETSCALE_REQUIRE(tile_ >= 1, "SUMMA needs tile >= 1");
-}
-
-double SummaCombination::work(std::int64_t n) const {
-  return numeric::mm_workload(static_cast<double>(n));
-}
-
-std::string SummaCombination::algo_key() const {
-  return "summa:tile=" + std::to_string(tile_);
-}
-
-ClusterCombination::RunOutcome SummaCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
+Algorithm summa_algorithm(std::int64_t tile) {
+  HETSCALE_REQUIRE(tile >= 1, "SUMMA needs tile >= 1");
   algos::SummaOptions options;
-  options.n = n;
-  options.tile = tile_;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_summa(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
+  options.tile = tile;
+  return {"summa:tile=" + std::to_string(tile), mm_work,
+          run_with(options, algos::run_parallel_summa)};
 }
 
-GePivotCombination::GePivotCombination(std::string name, Config config,
-                                       std::int64_t panel)
-    : ClusterCombination(std::move(name), std::move(config)), panel_(panel) {
-  HETSCALE_REQUIRE(panel_ >= 1, "pivoted GE needs panel >= 1");
-}
-
-double GePivotCombination::work(std::int64_t n) const {
-  return numeric::ge_workload(static_cast<double>(n));
-}
-
-std::string GePivotCombination::algo_key() const {
-  return "ge_pivot:panel=" + std::to_string(panel_);
-}
-
-ClusterCombination::RunOutcome GePivotCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
+Algorithm ge_pivot_algorithm(std::int64_t panel) {
+  HETSCALE_REQUIRE(panel >= 1, "pivoted GE needs panel >= 1");
   algos::GePivotOptions options;
-  options.n = n;
-  options.panel = panel_;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_ge_pivot(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
+  options.panel = panel;
+  return {"ge_pivot:panel=" + std::to_string(panel), ge_work,
+          run_with(options, algos::run_parallel_ge_pivot)};
 }
 
-SpmvCombination::SpmvCombination(std::string name, Config config,
-                                 std::int64_t sweeps,
-                                 algos::SpmvDistribution distribution)
-    : ClusterCombination(std::move(name), std::move(config)),
-      sweeps_(sweeps),
-      distribution_(distribution) {
-  HETSCALE_REQUIRE(sweeps_ >= 1, "SpMV needs sweeps >= 1");
+Algorithm spmv_algorithm(std::int64_t sweeps,
+                         algos::SpmvDistribution distribution) {
+  HETSCALE_REQUIRE(sweeps >= 1, "SpMV needs sweeps >= 1");
+  algos::SpmvOptions options;
+  options.sweeps = sweeps;
+  options.distribution = distribution;
+  return {"spmv:sweeps=" + std::to_string(sweeps) + ",dist=" +
+              (distribution == algos::SpmvDistribution::kHeterogeneousBlock
+                   ? "het"
+                   : "hom"),
+          [sweeps](std::int64_t n) {
+            const auto nnz =
+                algos::make_synthetic_csr(n, algos::SpmvOptions{}.seed).nnz();
+            return static_cast<double>(sweeps) * 2.0 *
+                   static_cast<double>(nnz);
+          },
+          run_with(options, algos::run_parallel_spmv)};
 }
 
-double SpmvCombination::work(std::int64_t n) const {
-  const auto nnz =
-      algos::make_synthetic_csr(n, algos::SpmvOptions{}.seed).nnz();
-  return static_cast<double>(sweeps_) * 2.0 * static_cast<double>(nnz);
-}
-
-double SpmvCombination::work_imbalance(std::int64_t n) const {
-  const auto& speeds = rank_speeds();
+double spmv_work_imbalance(const std::vector<double>& speeds, std::int64_t n,
+                           algos::SpmvDistribution distribution) {
   const int p = static_cast<int>(speeds.size());
   const auto counts =
-      distribution_ == algos::SpmvDistribution::kHeterogeneousBlock
+      distribution == algos::SpmvDistribution::kHeterogeneousBlock
           ? dist::het_block_counts(speeds, n)
           : dist::block_counts(p, n);
   const auto offsets = dist::block_offsets(counts);
@@ -315,26 +231,6 @@ double SpmvCombination::work_imbalance(std::int64_t n) const {
         csr.row_ptr[static_cast<std::size_t>(offsets[i])];
   }
   return dist::imbalance(speeds, nnz_counts);
-}
-
-std::string SpmvCombination::algo_key() const {
-  return "spmv:sweeps=" + std::to_string(sweeps_) + ",dist=" +
-         (distribution_ == algos::SpmvDistribution::kHeterogeneousBlock
-              ? "het"
-              : "hom");
-}
-
-ClusterCombination::RunOutcome SpmvCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
-  algos::SpmvOptions options;
-  options.n = n;
-  options.sweeps = sweeps_;
-  options.distribution = distribution_;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_spmv(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
 }
 
 std::vector<double> EfficiencyCurve::sizes() const {

@@ -52,7 +52,7 @@ FaultyMeasurement FaultedCombination::compute(std::int64_t n) const {
   fault::Injector injector(*plan_, processor_rates(config.cluster));
   machine.attach_fault_hooks(&injector);
 
-  const ClusterCombination::RunOutcome outcome = inner_->run_once(machine, n);
+  const RunOutcome outcome = inner_->run_once(machine, n);
 
   FaultyMeasurement fm;
   fm.measurement.n = n;

@@ -11,9 +11,9 @@ ProfiledRun profile_run(ClusterCombination& combination, std::int64_t n) {
   ProfiledRun out;
   {
     obs::ProfilerScope scope(profiler);
-    auto machine = make_machine(
-        combination.config_.cluster, combination.config_.network,
-        combination.config_.net_params, combination.config_.tuning);
+    const auto& config = combination.config();
+    auto machine = make_machine(config.cluster, config.network,
+                                config.net_params, config.tuning);
     const auto outcome = combination.run_once(machine, n);
 
     Measurement& m = out.measurement;

@@ -6,22 +6,7 @@
 // jobs-invariant, and golden-pinned (tests/golden/).
 #pragma once
 
-#include <memory>
-
-#include "hetscale/scal/combination.hpp"
-
 namespace hetscale::scenarios {
-
-/// SUMMA over the MM ensembles (speed-balanced 2D grid, switched network).
-std::unique_ptr<scal::SummaCombination> make_summa(int nodes);
-
-/// Panel-blocked pivoted GE over the GE ensembles.
-std::unique_ptr<scal::GePivotCombination> make_ge_pivot(int nodes);
-
-/// Iterated SpMV over the MM ensembles with either row split.
-std::unique_ptr<scal::SpmvCombination> make_spmv(
-    int nodes, algos::SpmvDistribution distribution =
-                   algos::SpmvDistribution::kHeterogeneousBlock);
 
 /// Register the 2D-distribution scenarios with the global registry.
 /// Idempotent.

@@ -1,8 +1,8 @@
 // The model-zoo fit study as a scenario and a CLI building block.
 //
 // gather_zoo_dataset measures one algorithm's (combination, p, n) -> E_s
-// points over the paper's ensembles (GE ensembles for ge/jacobi, MM
-// ensembles for mm/spmv, ladder {2, 4, 8}); build_fit_report fits and
+// points over its workload row's ensembles (scenarios/workloads.hpp,
+// ladder {2, 4, 8}) at the row's zoo sizes; build_fit_report fits and
 // cross-validates the predict/ model zoo on those points against the
 // analytic Theorem-1 pipeline. The `model_zoo_ranking` scenario pins the
 // resulting per-algorithm ranking as a golden artifact (timing-only,
@@ -18,10 +18,7 @@
 
 namespace hetscale::scenarios {
 
-/// The algorithms the fit study covers, in report order.
-const std::vector<std::string>& zoo_algos();
-
-/// Measure the fit dataset for one of zoo_algos() (throws
+/// Measure the fit dataset for one of zoo_keys() (throws
 /// PreconditionError for anything else). A null runner measures
 /// sequentially — same points, same bytes.
 scal::FitDataset gather_zoo_dataset(const std::string& algo,

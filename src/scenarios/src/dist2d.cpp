@@ -1,5 +1,6 @@
 #include "hetscale/scenarios/dist2d.hpp"
 
+#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -22,6 +23,20 @@ using run::Value;
 /// top of the paper's, and the 32-node rung adds cost without changing any
 /// of the comparisons these artifacts pin.
 const std::vector<int> kDist2dNodeCounts{2, 4, 8, 16};
+
+/// SUMMA over the MM ensembles (speed-balanced 2D grid, switched network).
+std::unique_ptr<scal::ClusterCombination> make_summa(int nodes) {
+  return std::make_unique<scal::ClusterCombination>(
+      std::to_string(nodes) + " Nodes, C" + std::to_string(nodes) + "''",
+      mm_config(nodes), scal::summa_algorithm());
+}
+
+/// Panel-blocked pivoted GE over the GE ensembles.
+std::unique_ptr<scal::ClusterCombination> make_ge_pivot(int nodes) {
+  return std::make_unique<scal::ClusterCombination>(
+      std::to_string(nodes) + " Nodes, C" + std::to_string(nodes) + "p",
+      ge_config(nodes), scal::ge_pivot_algorithm());
+}
 
 // ---- SUMMA: speed-efficiency curves + psi vs the 1D row algorithm -------
 
@@ -224,13 +239,21 @@ RunResult spmv(const RunContext& context) {
                     "E_s (het)", "E_s (hom)", "het beats hom"});
   bool all_rows_win = true;
   for (int nodes : ensembles) {
-    auto het = make_spmv(nodes, algos::SpmvDistribution::kHeterogeneousBlock);
-    auto hom = make_spmv(nodes, algos::SpmvDistribution::kHomogeneousBlock);
-    const auto het_measured = het->measure_many(sizes, context.runner);
-    const auto hom_measured = hom->measure_many(sizes, context.runner);
+    using algos::SpmvDistribution;
+    scal::ClusterCombination het(
+        std::to_string(nodes) + " Nodes, spmv-het", mm_config(nodes),
+        scal::spmv_algorithm(50, SpmvDistribution::kHeterogeneousBlock));
+    scal::ClusterCombination hom(
+        std::to_string(nodes) + " Nodes, spmv-hom", mm_config(nodes),
+        scal::spmv_algorithm(50, SpmvDistribution::kHomogeneousBlock));
+    const auto het_measured = het.measure_many(sizes, context.runner);
+    const auto hom_measured = hom.measure_many(sizes, context.runner);
+    const auto& speeds = het.rank_speeds();
     for (std::size_t s = 0; s < sizes.size(); ++s) {
-      const double het_imb = het->work_imbalance(sizes[s]);
-      const double hom_imb = hom->work_imbalance(sizes[s]);
+      const double het_imb = scal::spmv_work_imbalance(
+          speeds, sizes[s], SpmvDistribution::kHeterogeneousBlock);
+      const double hom_imb = scal::spmv_work_imbalance(
+          speeds, sizes[s], SpmvDistribution::kHomogeneousBlock);
       const double het_es = het_measured[s].speed_efficiency;
       const double hom_es = hom_measured[s].speed_efficiency;
       const bool wins = het_imb < hom_imb && het_es > hom_es;
@@ -255,28 +278,6 @@ RunResult spmv(const RunContext& context) {
 }
 
 }  // namespace
-
-std::unique_ptr<scal::SummaCombination> make_summa(int nodes) {
-  return std::make_unique<scal::SummaCombination>(
-      std::to_string(nodes) + " Nodes, C" + std::to_string(nodes) + "''",
-      mm_config(nodes));
-}
-
-std::unique_ptr<scal::GePivotCombination> make_ge_pivot(int nodes) {
-  return std::make_unique<scal::GePivotCombination>(
-      std::to_string(nodes) + " Nodes, C" + std::to_string(nodes) + "p",
-      ge_config(nodes));
-}
-
-std::unique_ptr<scal::SpmvCombination> make_spmv(
-    int nodes, algos::SpmvDistribution distribution) {
-  const char* tag =
-      distribution == algos::SpmvDistribution::kHeterogeneousBlock ? "het"
-                                                                   : "hom";
-  return std::make_unique<scal::SpmvCombination>(
-      std::to_string(nodes) + " Nodes, spmv-" + tag, mm_config(nodes),
-      /*sweeps=*/50, distribution);
-}
 
 void register_dist2d_scenarios() {
   static const bool registered = [] {

@@ -7,8 +7,8 @@
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/predict/probe.hpp"
 #include "hetscale/run/scenario.hpp"
-#include "hetscale/scenarios/dist2d.hpp"
 #include "hetscale/scenarios/paper.hpp"
+#include "hetscale/scenarios/workloads.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/table.hpp"
 
@@ -25,36 +25,6 @@ using run::Value;
 /// cost to a golden artifact.
 const std::vector<int> kZooLadder{2, 4, 8};
 
-/// Sweep count shared by the Jacobi and SpMV combinations and their
-/// analytic overhead models (overhead_model_for defaults).
-constexpr std::int64_t kZooSweeps = 50;
-
-std::vector<std::int64_t> zoo_sizes(const std::string& algo) {
-  if (algo == "ge") return {64, 128, 256, 384, 512};
-  if (algo == "mm") return {32, 64, 128, 192, 256};
-  if (algo == "jacobi") return {64, 128, 256, 384, 512};
-  if (algo == "spmv") return {128, 256, 512, 768, 1024};
-  HETSCALE_REQUIRE(false, "no zoo dataset for algorithm '" + algo +
-                              "' (supported: ge, mm, jacobi, spmv)");
-  return {};
-}
-
-std::unique_ptr<scal::ClusterCombination> make_zoo_combination(
-    const std::string& algo, int nodes) {
-  const std::string name =
-      std::to_string(nodes) + " Nodes, zoo-" + algo;
-  if (algo == "ge") return make_ge(nodes);
-  if (algo == "mm") return make_mm(nodes);
-  if (algo == "jacobi") {
-    return std::make_unique<scal::JacobiCombination>(name, ge_config(nodes),
-                                                     kZooSweeps);
-  }
-  if (algo == "spmv") return make_spmv(nodes);
-  HETSCALE_REQUIRE(false, "no zoo combination for algorithm '" + algo +
-                              "' (supported: ge, mm, jacobi, spmv)");
-  return nullptr;
-}
-
 RunResult model_zoo_ranking(const RunContext& context) {
   RunResult result;
   result.scenario = "model_zoo_ranking";
@@ -67,7 +37,7 @@ RunResult model_zoo_ranking(const RunContext& context) {
       "deterministic LM solver, scored leave-one-point-out, and ranked "
       "against the unfitted analytic Theorem-1 prediction.");
 
-  const auto report = build_fit_report(zoo_algos(), &context.runner);
+  const auto report = build_fit_report(zoo_keys(), &context.runner);
 
   result.columns = {"algo",     "model",         "rank",
                     "cv_rmse",  "fit_rmse",      "beats_analytic"};
@@ -105,21 +75,23 @@ RunResult model_zoo_ranking(const RunContext& context) {
 
 }  // namespace
 
-const std::vector<std::string>& zoo_algos() {
-  static const std::vector<std::string> kAlgos{"ge", "mm", "jacobi", "spmv"};
-  return kAlgos;
-}
-
 scal::FitDataset gather_zoo_dataset(const std::string& algo,
                                     run::Runner* runner) {
-  const auto sizes = zoo_sizes(algo);
+  const Workload& row = find_workload(algo);
+  HETSCALE_REQUIRE(!row.zoo_sizes.empty(),
+                   "no zoo dataset for algorithm '" + algo +
+                       "' (supported: " +
+                       workload_key_list([](const Workload& w) {
+                         return !w.zoo_sizes.empty();
+                       }) +
+                       ")");
   std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
   std::vector<scal::ClusterCombination*> ladder;
   for (int nodes : kZooLadder) {
-    owned.push_back(make_zoo_combination(algo, nodes));
+    owned.push_back(row.on_ensemble(nodes));
     ladder.push_back(owned.back().get());
   }
-  return scal::gather_fit_points(algo, ladder, sizes, runner);
+  return scal::gather_fit_points(algo, ladder, row.zoo_sizes, runner);
 }
 
 predict::FitStudyReport build_fit_report(
@@ -128,8 +100,9 @@ predict::FitStudyReport build_fit_report(
       predict::ProbeConfig{.node = machine::sunwulf::sunblade_spec()});
   predict::FitStudyReport report;
   for (const auto& algo : algos) {
-    report.algos.push_back(
-        predict::build_algo_fit_study(gather_zoo_dataset(algo, runner), comm));
+    const auto data = gather_zoo_dataset(algo, runner);
+    report.algos.push_back(predict::build_algo_fit_study(
+        data, find_workload(algo).analytic_model(), comm));
   }
   return report;
 }

@@ -25,8 +25,10 @@
 #include "hetscale/scal/combination.hpp"
 #include "hetscale/scal/measure_store.hpp"
 #include "hetscale/scenarios/dist2d.hpp"
+#include "hetscale/scenarios/fault.hpp"
 #include "hetscale/scenarios/large_p.hpp"
 #include "hetscale/scenarios/paper.hpp"
+#include "hetscale/scenarios/profile.hpp"
 #include "hetscale/scenarios/zoo.hpp"
 
 namespace hetscale {
@@ -49,6 +51,8 @@ class StoreDisabledScope {
 
 std::string render_csv(const std::string& scenario_name, int jobs) {
   scenarios::register_paper_scenarios();
+  scenarios::register_fault_scenarios();
+  scenarios::register_profile_scenarios();
   scenarios::register_dist2d_scenarios();
   scenarios::register_zoo_scenarios();
   scenarios::register_large_p_scenarios();
@@ -114,13 +118,19 @@ INSTANTIATE_TEST_SUITE_P(PaperArtifacts, ScenarioDeterminism,
                                            "ge_pivot_scalability",
                                            "spmv_imbalance",
                                            "model_zoo_ranking",
-                                           "large_p_scalability"));
+                                           "large_p_scalability",
+                                           "fault_ge_degraded_scalability",
+                                           "fault_mm_crash_restart",
+                                           "fault_ge_loss_retry",
+                                           "profile_ge_time_budget"));
 
 // Sim-thread invariance: the partitioned conservative scheduler
 // (--sim-threads > 1) must render every golden artifact byte-identically.
 // Scenarios whose machines are ineligible for partitioning (shared bus, no
 // lookahead) fall back to the sequential schedule and pass trivially —
-// that fallback staying silent and exact is part of the contract too.
+// that fallback staying silent and exact is part of the contract too. The
+// fault and profile scenarios are left out: fault hooks and profilers
+// force the sequential path, so the check would be vacuous for them.
 class SimThreadInvariance : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SimThreadInvariance, PartitionedRenderMatchesGolden) {

@@ -79,7 +79,7 @@ TEST(IsoSolver, WorksOnSortCombination) {
   // its (noisier, slowly rising) efficiency curve and the p^2 size floor.
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::mm_ensemble(4);
-  SortCombination combo("sort-4", std::move(config));
+  ClusterCombination combo("sort-4", std::move(config), sort_algorithm());
   IsoSolveOptions options;
   options.n_min = 16;  // p^2
   const auto result = required_problem_size(combo, 0.2, options);
@@ -90,6 +90,28 @@ TEST(IsoSolver, WorksOnSortCombination) {
   EXPECT_LT(combo.measure(std::max<std::int64_t>(16, result.n / 2))
                 .speed_efficiency,
             0.2);
+}
+
+TEST(IsoSolver, BroadcastTuningChangesTheOperatingPoint) {
+  // The collectives ablation on the 4-node GE ensemble: the paper's flat
+  // MPICH against the same family with binomial short broadcasts. Both
+  // go through Config::tuning, so they differ in result and store key.
+  const auto combination = [](vmpi::BcastAlgorithm small_bcast) {
+    ClusterCombination::Config config;
+    config.cluster = machine::sunwulf::ge_ensemble(4);
+    config.tuning = vmpi::CollectiveTuning::legacy_flat();
+    config.tuning.small_bcast = small_bcast;
+    return GeCombination("GE-4", std::move(config));
+  };
+  GeCombination flat = combination(vmpi::BcastAlgorithm::kFlatTree);
+  GeCombination binomial = combination(vmpi::BcastAlgorithm::kBinomialTree);
+  EXPECT_NE(flat.store_key(), binomial.store_key());
+  const auto flat_point = required_problem_size(flat, 0.3);
+  const auto binomial_point = required_problem_size(binomial, 0.3);
+  ASSERT_TRUE(flat_point.found);
+  ASSERT_TRUE(binomial_point.found);
+  EXPECT_EQ(flat_point.n, 421);  // table3's 4-node row
+  EXPECT_EQ(binomial_point.n, 382);
 }
 
 TEST(IsoSolver, InvalidArgumentsRejected) {

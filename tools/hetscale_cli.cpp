@@ -40,8 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "hetscale/algos/ge.hpp"
-#include "hetscale/algos/mm.hpp"
 #include "hetscale/machine/parse.hpp"
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/marked/suite.hpp"
@@ -62,6 +60,7 @@
 #include "hetscale/scenarios/large_p.hpp"
 #include "hetscale/scenarios/paper.hpp"
 #include "hetscale/scenarios/profile.hpp"
+#include "hetscale/scenarios/workloads.hpp"
 #include "hetscale/scenarios/zoo.hpp"
 #include "hetscale/support/args.hpp"
 #include "hetscale/support/csv.hpp"
@@ -71,42 +70,11 @@ namespace {
 
 using namespace hetscale;
 
+/// The --algo workload on --cluster.
 std::unique_ptr<scal::ClusterCombination> make_combination(
-    const std::string& algo, machine::Cluster cluster) {
-  scal::ClusterCombination::Config config;
-  config.cluster = std::move(cluster);
-  config.with_data = false;
-  const std::string name = algo + " on " + config.cluster.summary();
-  if (algo == "ge") {
-    return std::make_unique<scal::GeCombination>(name, std::move(config));
-  }
-  if (algo == "mm") {
-    return std::make_unique<scal::MmCombination>(name, std::move(config));
-  }
-  if (algo == "sort") {
-    return std::make_unique<scal::SortCombination>(name, std::move(config));
-  }
-  if (algo == "jacobi") {
-    return std::make_unique<scal::JacobiCombination>(name, std::move(config),
-                                                     /*sweeps=*/50);
-  }
-  if (algo == "summa") {
-    return std::make_unique<scal::SummaCombination>(name, std::move(config));
-  }
-  if (algo == "ge_pivot") {
-    return std::make_unique<scal::GePivotCombination>(name,
-                                                      std::move(config));
-  }
-  if (algo == "spmv" || algo == "spmv-hom") {
-    return std::make_unique<scal::SpmvCombination>(
-        name, std::move(config), /*sweeps=*/50,
-        algo == "spmv" ? algos::SpmvDistribution::kHeterogeneousBlock
-                       : algos::SpmvDistribution::kHomogeneousBlock);
-  }
-  throw PreconditionError(
-      "unknown --algo '" + algo +
-      "' (expected ge, mm, sort, jacobi, summa, ge_pivot, spmv, or "
-      "spmv-hom)");
+    const ArgParser& args) {
+  return scenarios::find_workload(args.get_or("algo", "ge"))
+      .on_cluster(machine::parse_cluster(args.get("cluster")));
 }
 
 /// All scenario registrations, shared by run / scenarios / profile.
@@ -184,6 +152,7 @@ int cmd_run(const ArgParser& args) {
     std::cout << run::render(result, context.format, storage);
     obs::ReportOptions options;
     options.subject = name;
+    options.include_wall = true;
     std::cerr << profiler.report(options).to_table();
   } else {
     const run::RunResult result = scenario->run(context);
@@ -211,8 +180,7 @@ int cmd_marked(const ArgParser& args) {
 }
 
 int cmd_solve(const ArgParser& args) {
-  auto combo = make_combination(args.get_or("algo", "ge"),
-                                machine::parse_cluster(args.get("cluster")));
+  auto combo = make_combination(args);
   const double target = args.get_double("target", 0.3);
   run::Runner runner(resolve_jobs(args));
   scal::IsoSolveOptions options;
@@ -231,8 +199,7 @@ int cmd_solve(const ArgParser& args) {
 }
 
 int cmd_curve(const ArgParser& args) {
-  auto combo = make_combination(args.get_or("algo", "ge"),
-                                machine::parse_cluster(args.get("cluster")));
+  auto combo = make_combination(args);
   const auto from = args.get_int("from", 32);
   const auto to = args.get_int("to", 512);
   const auto step = args.get_int("step", 32);
@@ -253,15 +220,12 @@ int cmd_curve(const ArgParser& args) {
 }
 
 int cmd_series(const ArgParser& args) {
-  const std::string algo = args.get_or("algo", "ge");
-  const double target = args.get_double("target", algo == "mm" ? 0.2 : 0.3);
+  const auto& workload = scenarios::find_workload(args.get_or("algo", "ge"));
+  const double target = args.get_double("target", workload.target_es);
   std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
   std::vector<scal::Combination*> ptrs;
   for (const auto& piece : split(args.get_or("ladder", "2,4,8"), ',')) {
-    const int nodes = static_cast<int>(std::stol(piece));
-    owned.push_back(make_combination(
-        algo, algo == "mm" ? machine::sunwulf::mm_ensemble(nodes)
-                           : machine::sunwulf::ge_ensemble(nodes)));
+    owned.push_back(workload.on_ensemble(static_cast<int>(std::stol(piece))));
     ptrs.push_back(owned.back().get());
   }
   run::Runner runner(resolve_jobs(args));
@@ -269,44 +233,45 @@ int cmd_series(const ArgParser& args) {
   Table table("Isospeed-efficiency scalability series (E_s = " +
               Table::num(target, 2) + ")");
   table.set_header({"system", "C (Mflops)", "N", "psi step"});
+  bool all_found = true;
   for (std::size_t i = 0; i < report.points.size(); ++i) {
     const auto& point = report.points[i];
+    all_found = all_found && point.found;
+    std::string psi = "-";
+    if (i > 0 && !point.found) {
+      psi = "unreachable";
+    } else if (i > 0 && report.points[i - 1].found) {
+      psi = Table::fixed(report.steps[i - 1].psi, 3);
+    }
     table.add_row({point.system, Table::fixed(point.marked_speed / 1e6, 1),
                    point.found ? std::to_string(point.n) : "unreachable",
-                   i == 0 ? "-" : Table::fixed(report.steps[i - 1].psi, 3)});
+                   psi});
   }
   std::cout << table << "cumulative psi = "
-            << Table::fixed(report.cumulative_psi(), 4) << '\n';
+            << (all_found ? Table::fixed(report.cumulative_psi(), 4)
+                          : "unreachable")
+            << '\n';
   return 0;
 }
 
 int cmd_predict(const ArgParser& args) {
   const std::string algo = args.get_or("algo", "ge");
+  const auto& workload = scenarios::find_workload(algo);
   // Throws a loud PreconditionError for algorithms without an analytic
   // model (sort, summa, ...) — predict never silently falls back to GE.
-  const auto model = predict::overhead_model_for(algo);
-  // Per-algorithm defaults: the paper's targets for ge/mm, ge's for the
-  // compute-bound jacobi, and a low bar for spmv — its CSR streaming stall
-  // caps E_s well below the dense targets.
-  const double default_target =
-      algo == "mm" ? 0.2 : (algo == "spmv" ? 0.05 : 0.3);
-  const double target = args.get_double("target", default_target);
+  const auto& model = workload.analytic_model();
+  const double target = args.get_double("target", workload.target_es);
   const auto comm = predict::probe_comm_model(
       predict::ProbeConfig{.node = machine::sunwulf::sunblade_spec()});
-  // ge/jacobi run on the paper's GE ensembles, mm/spmv on the MM ones —
-  // the same pairing the fit study measures.
-  const bool mm_ensembles = algo == "mm" || algo == "spmv";
   Table table("Predicted " + algo +
               " operating points (probed parameters, paper §4.5)");
   table.set_header({"nodes", "predicted N"});
   for (const auto& piece : split(args.get_or("ladder", "2,4,8"), ',')) {
     const int nodes = static_cast<int>(std::stol(piece));
-    const auto system = predict::system_model_for(
-        mm_ensembles ? machine::sunwulf::mm_ensemble(nodes)
-                     : machine::sunwulf::ge_ensemble(nodes),
-        comm);
+    const auto system =
+        predict::system_model_for(workload.ensemble(nodes), comm);
     table.add_row({piece, std::to_string(predict::predicted_required_size(
-                              *model, system, target))});
+                              model, system, target))});
   }
   std::cout << table;
   return 0;
@@ -322,7 +287,7 @@ int cmd_fit(const ArgParser& args) {
   } else if (args.has("algo")) {
     algos.push_back(args.get("algo"));
   } else {
-    algos = scenarios::zoo_algos();
+    algos = scenarios::zoo_keys();
   }
   run::Runner runner(resolve_jobs(args));
   const auto report = scenarios::build_fit_report(algos, &runner);
@@ -340,8 +305,7 @@ int cmd_fit(const ArgParser& args) {
 }
 
 int cmd_inject(const ArgParser& args) {
-  auto combo = make_combination(args.get_or("algo", "ge"),
-                                machine::parse_cluster(args.get("cluster")));
+  auto combo = make_combination(args);
   const auto n = args.get_int("n", 256);
   const auto seed = resolve_seed(args);
   const int ranks = combo->processor_count();
@@ -446,8 +410,7 @@ void write_report(const ArgParser& args, const obs::Report& report) {
 /// per-rank utilization table to stderr; `trace` keeps its historical
 /// contract — utilization on stdout, chrome trace via --out.
 int profile_adhoc(const ArgParser& args, bool trace_alias) {
-  auto combo = make_combination(args.get_or("algo", "ge"),
-                                machine::parse_cluster(args.get("cluster")));
+  auto combo = make_combination(args);
   const auto n = args.get_int("n", 64);
   const auto profiled = scal::profile_run(*combo, n);
   if (trace_alias) {
@@ -564,9 +527,7 @@ int cmd_analyze(const ArgParser& args) {
     HETSCALE_REQUIRE(
         args.has("cluster"),
         "analyze needs a scenario name or --cluster (see --help)");
-    auto combo = make_combination(
-        args.get_or("algo", "ge"),
-        machine::parse_cluster(args.get("cluster")));
+    auto combo = make_combination(args);
     const auto n = args.get_int("n", 64);
     const auto profiled = scal::profile_run(*combo, n);
     profiler.add_run(profiled.profile);
@@ -601,10 +562,7 @@ int dispatch(const std::string& command, const ArgParser& args) {
 int main(int argc, char** argv) {
   ArgParser args;
   args.add_flag("cluster", "cluster description, e.g. \"server:2,sunbladex3\"")
-      .add_flag("algo",
-                "algorithm: ge, mm, sort, jacobi, summa, ge_pivot, spmv, "
-                "spmv-hom",
-                "ge")
+      .add_flag("algo", "algorithm: " + scenarios::workload_key_list(), "ge")
       .add_flag("target", "target speed-efficiency", "0.3")
       .add_flag("ladder", "comma-separated ensemble node counts", "2,4,8")
       .add_flag("from", "curve: first N", "32")
