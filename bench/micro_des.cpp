@@ -160,8 +160,8 @@ BENCHMARK(BM_GeTimingOnlyRun)->Arg(128)->Arg(512);
 
 // The GE iso-solver ladder from table3/table4: direct search for the size
 // achieving the paper's target speed-efficiency, one solve per node count.
-// Measures end-to-end solver wall-clock with the 8-worker speculative
-// bisection; the measurement store is disabled so every iteration pays for
+// Measures end-to-end solver wall-clock with bisection waves on an 8-worker
+// runner; the measurement store is disabled so every iteration pays for
 // its simulations instead of replaying the first iteration's memo.
 void BM_GeLadderSolve(benchmark::State& state) {
 #ifdef HETSCALE_HAS_MEASURE_STORE

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -58,6 +57,7 @@ struct NetworkParams {
 /// Cumulative on-wire totals of one physical link (a node's injection port
 /// on a switched fabric, or a sender's share of the shared bus).
 struct LinkStats {
+  std::uint64_t frames = 0;  ///< frames sent; 0 for a node that never sent
   double bytes = 0.0;   ///< payload bytes transmitted
   double wire_s = 0.0;  ///< time the link was transmitting
   double stall_s = 0.0; ///< time frames waited for the link (contention)
@@ -69,7 +69,9 @@ struct NetworkStats {
   double bytes = 0.0;
   double wire_seconds = 0.0;        ///< total transmission time on all links
   double contention_seconds = 0.0;  ///< total time frames queued for a link
-  std::map<int, LinkStats> links;   ///< keyed by sending node
+  /// Indexed by sending node, grown to the highest one that sent; nodes
+  /// below it that never sent hold frames == 0.
+  std::vector<LinkStats> links;
 };
 
 class Network {
@@ -98,12 +100,14 @@ class Network {
   virtual double lookahead_s() const { return 0.0; }
 
   /// Prepare this network for concurrent use by `partitions` simulation
-  /// threads covering nodes [0, node_count): presize lazily-grown per-node
-  /// state and shard the stats counters so the recording hot path never
-  /// shares a sink between threads. Requires lookahead_s() > 0.
+  /// threads covering nodes [0, node_count), one rank per node: presize
+  /// lazily-grown per-node state (link stats included; each node's entry
+  /// has one writer) and shard the machine-wide stats totals so the
+  /// recording hot path never shares a sink between threads. Requires
+  /// lookahead_s() > 0.
   void begin_partitioned(int partitions, int node_count);
 
-  /// Fold the per-partition stats shards back into stats(), in partition
+  /// Fold the per-partition stats totals back into stats(), in partition
   /// order (a fixed fold order keeps the double sums deterministic for a
   /// given partition count). Call after the partition threads have joined.
   void end_partitioned();

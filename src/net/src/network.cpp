@@ -32,6 +32,12 @@ void Network::begin_partitioned(int partitions, int node_count) {
   HETSCALE_REQUIRE(lookahead_s() > 0.0,
                    "this network model provides no lookahead");
   presize_nodes(node_count);
+  // Links need no shards: a partitioned machine has one rank per node, so
+  // each link is written by the one thread owning that rank. Presized, the
+  // shared array never grows under them.
+  if (stats_.links.size() < static_cast<std::size_t>(node_count)) {
+    stats_.links.resize(static_cast<std::size_t>(node_count));
+  }
   shards_.assign(static_cast<std::size_t>(partitions), NetworkStats{});
 }
 
@@ -41,12 +47,6 @@ void Network::end_partitioned() {
     stats_.bytes += shard.bytes;
     stats_.wire_seconds += shard.wire_seconds;
     stats_.contention_seconds += shard.contention_seconds;
-    for (const auto& [node, link] : shard.links) {
-      LinkStats& into = stats_.links[node];
-      into.bytes += link.bytes;
-      into.wire_s += link.wire_s;
-      into.stall_s += link.stall_s;
-    }
   }
   shards_.clear();
 }
@@ -72,7 +72,10 @@ void Network::record_wire(int src_node, double bytes, double wire_s,
   NetworkStats& stats = sink();
   stats.wire_seconds += wire_s;
   stats.contention_seconds += stall_s;
-  LinkStats& link = stats.links[src_node];
+  const auto node = static_cast<std::size_t>(src_node);
+  if (node >= stats_.links.size()) stats_.links.resize(node + 1);
+  LinkStats& link = stats_.links[node];
+  ++link.frames;
   link.bytes += bytes;
   link.wire_s += wire_s;
   link.stall_s += stall_s;

@@ -20,9 +20,11 @@
 // shared mutable state between tasks); the Runner guarantees result slot i
 // holds task i's value and that the caller observes all writes after the
 // batch returns. With jobs == 1 no threads are created and every batch
-// runs inline on the caller.
+// runs inline on the caller. Batches may nest: a task can submit a batch
+// of its own, and idle lanes help drain it (see run_indexed).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -54,9 +56,14 @@ class Runner {
   /// failure with the smallest task index is rethrown on the caller —
   /// including failures in stolen tasks.
   ///
-  /// A batch submitted from inside a task runs inline on that worker —
-  /// nested batches cannot deadlock the pool, at the price of no extra
-  /// parallelism.
+  /// A batch submitted from inside a task is nested: it is published like
+  /// any other batch and the submitting task drains it itself. Lanes idle
+  /// in the pool join it, and so do submitters (the top-level caller
+  /// included) that have drained their own, older batch and are waiting
+  /// for its helpers' tasks. A waiting submitter only joins batches
+  /// published after its own, whose tasks never wait on it, so nesting
+  /// cannot deadlock the pool; with every other lane busy, a nested batch
+  /// simply runs on its submitter.
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& task);
 
@@ -71,31 +78,43 @@ class Runner {
     return out;
   }
 
-  /// True on a thread currently executing a Runner task (any Runner).
-  static bool on_worker_thread();
+  /// The Runner whose task the calling thread is executing (inline or
+  /// pooled, innermost when nested), or nullptr outside any task. Lets
+  /// code deep inside a batch submit nested batches to the same pool.
+  static Runner* current();
 
-  /// How many tasks of the most recent pooled batch ran on a lane other
-  /// than the one they were dealt to. Inline batches (jobs() == 1, single
-  /// task, or nested) report 0. Observability for tests and tuning only —
-  /// stealing never affects results.
+  /// How many tasks of the most recent top-level pooled batch ran on a
+  /// lane other than the one they were dealt to. Inline batches
+  /// (jobs() == 1 or a single task) report 0; nested batches leave it
+  /// alone. Observability for tests and tuning only — stealing never
+  /// affects results.
   std::size_t last_batch_steals() const { return last_batch_steals_; }
 
  private:
   struct Batch;
 
   void worker_loop(std::size_t lane);
-  void drain(Batch& batch, std::size_t lane);
-  void run_batch(std::size_t count,
-                 const std::function<void(std::size_t)>& task);
+  /// Run `batch`'s tasks as `lane` until none is left unclaimed; a lane
+  /// that does not own its deque in `batch` only steals.
+  void drain(Batch& batch, std::size_t lane, bool owns_lane);
+  /// The newest in-flight batch with unclaimed tasks, among those published
+  /// after `after` if given; mutex_ held.
+  Batch* open_batch(const Batch* after = nullptr) const;
+  std::size_t run_batch(std::size_t count,
+                        const std::function<void(std::size_t)>& task);
 
   int jobs_ = 1;
   std::vector<std::thread> workers_;
   std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< wakes workers for a new batch
-  std::condition_variable done_cv_;  ///< wakes the caller when drained
-  Batch* batch_ = nullptr;           ///< in-flight batch; guarded by mutex_
-  std::uint64_t next_batch_id_ = 0;
-  std::size_t last_batch_steals_ = 0;
+  std::condition_variable work_cv_;  ///< wakes idle lanes for a new batch
+  std::condition_variable done_cv_;  ///< wakes submitters when drained
+  /// In-flight batches, oldest first (nested ones after their parents);
+  /// guarded by mutex_.
+  std::vector<Batch*> batches_;
+  std::uint64_t published_ = 0;  ///< batches ever published; guarded
+  /// Atomic because unrelated threads may submit top-level batches to one
+  /// runner at once (tasks of another runner, say).
+  std::atomic<std::size_t> last_batch_steals_{0};
   bool stop_ = false;
 };
 

@@ -1,10 +1,12 @@
 #include "hetscale/run/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "hetscale/obs/profiler.hpp"
 #include "hetscale/support/args.hpp"
@@ -14,7 +16,30 @@ namespace hetscale::run {
 
 namespace {
 
-thread_local bool t_on_worker = false;
+// The Runner whose task this thread is executing, and the lane it drains
+// that Runner's batches as. Pool threads keep their lane for life; any
+// other thread submits (and drains) as lane 0.
+thread_local Runner* t_current = nullptr;
+thread_local std::size_t t_lane = 0;
+
+/// Marks the calling thread as executing `runner`'s tasks on `lane` for the
+/// scope's lifetime, restoring the enclosing task's view on exit.
+class CurrentScope {
+ public:
+  CurrentScope(Runner* runner, std::size_t lane)
+      : runner_(std::exchange(t_current, runner)),
+        lane_(std::exchange(t_lane, lane)) {}
+  ~CurrentScope() {
+    t_current = runner_;
+    t_lane = lane_;
+  }
+  CurrentScope(const CurrentScope&) = delete;
+  CurrentScope& operator=(const CurrentScope&) = delete;
+
+ private:
+  Runner* runner_;
+  std::size_t lane_;
+};
 
 // One lane's deque of task indices — a Chase-Lev deque specialized to this
 // Runner's lifecycle: the buffer is filled once *before* the batch is
@@ -36,7 +61,6 @@ struct alignas(64) Lane {
 // One submitted batch. The deques hand out task indices; the finish/attach
 // counters and the error slot are guarded by the owning Runner's mutex.
 struct Runner::Batch {
-  std::uint64_t id = 0;
   std::size_t count = 0;
   const std::function<void(std::size_t)>* task = nullptr;
   std::vector<std::size_t> items;    ///< indices grouped by owning lane
@@ -45,7 +69,7 @@ struct Runner::Batch {
   std::atomic<std::size_t> steals{0};
   std::atomic<bool> failed{false};
   std::size_t finished = 0;  ///< claimed indices fully processed
-  int attached = 0;          ///< workers currently draining this batch
+  int attached = 0;          ///< helper lanes currently draining it
   std::size_t error_index = std::numeric_limits<std::size_t>::max();
   std::exception_ptr error;
 };
@@ -94,14 +118,29 @@ StealResult steal_top(Lane& lane, std::size_t& out) {
   return StealResult::kSuccess;
 }
 
-/// Scan the other lanes for work, restarting while any scan was contended:
-/// a lost CAS means indices were still in flight, and reporting "no work"
+/// Whether any deque still holds an unclaimed index. A racing claim can
+/// make the answer stale either way; callers only use it to decide whether
+/// joining the batch is worth it.
+bool has_unclaimed(const Lane* lanes, std::size_t lane_count) {
+  for (std::size_t l = 0; l < lane_count; ++l) {
+    if (lanes[l].top.load(std::memory_order_acquire) <
+        lanes[l].bottom.load(std::memory_order_acquire)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Scan the lanes for work — the other lanes, or all of them when `self`
+/// does not own its deque — restarting while any scan was contended: a
+/// lost CAS means indices were still in flight, and reporting "no work"
 /// then would retire a lane while tasks remain unclaimed.
 bool steal_any(Lane* lanes, std::size_t lane_count, std::size_t self,
-               std::atomic<std::size_t>& steals, std::size_t& out) {
+               bool owns_self, std::atomic<std::size_t>& steals,
+               std::size_t& out) {
   for (;;) {
     bool contended = false;
-    for (std::size_t d = 1; d < lane_count; ++d) {
+    for (std::size_t d = owns_self ? 1 : 0; d < lane_count; ++d) {
       Lane& victim = lanes[(self + d) % lane_count];
       const StealResult r = steal_top(victim, out);
       if (r == StealResult::kSuccess) {
@@ -135,14 +174,15 @@ Runner::~Runner() {
   for (auto& worker : workers_) worker.join();
 }
 
-bool Runner::on_worker_thread() { return t_on_worker; }
+Runner* Runner::current() { return t_current; }
 
-void Runner::drain(Batch& batch, std::size_t lane) {
+void Runner::drain(Batch& batch, std::size_t lane, bool owns_lane) {
+  const CurrentScope scope(this, lane);
   for (;;) {
     std::size_t i;
-    if (!pop_bottom(batch.lanes[lane], i) &&
-        !steal_any(batch.lanes.get(), batch.lane_count, lane, batch.steals,
-                   i)) {
+    if (!(owns_lane && pop_bottom(batch.lanes[lane], i)) &&
+        !steal_any(batch.lanes.get(), batch.lane_count, lane, owns_lane,
+                   batch.steals, i)) {
       break;
     }
     std::exception_ptr error;
@@ -163,24 +203,33 @@ void Runner::drain(Batch& batch, std::size_t lane) {
   }
 }
 
+Runner::Batch* Runner::open_batch(const Batch* after) const {
+  // Newest first: a nested batch is what some task is blocked on, so it
+  // sits on the critical path of everything published before it.
+  for (auto it = batches_.rbegin(); it != batches_.rend() && *it != after;
+       ++it) {
+    if (has_unclaimed((*it)->lanes.get(), (*it)->lane_count)) return *it;
+  }
+  return nullptr;
+}
+
 void Runner::worker_loop(std::size_t lane) {
-  t_on_worker = true;
-  std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    work_cv_.wait(lock,
-                  [&] { return stop_ || (batch_ && batch_->id != seen); });
     if (stop_) return;
-    Batch& batch = *batch_;
-    seen = batch.id;
-    ++batch.attached;
-    lock.unlock();
-    drain(batch, lane);
-    lock.lock();
-    // The caller frees the batch only once finished == count and no worker
-    // is still attached; always notify so it can re-check both.
-    --batch.attached;
-    done_cv_.notify_all();
+    const std::uint64_t seen = published_;
+    if (Batch* batch = open_batch()) {
+      ++batch->attached;
+      lock.unlock();
+      drain(*batch, lane, true);
+      lock.lock();
+      // The submitter frees the batch only once finished == count and no
+      // helper is still attached; always notify so it can re-check both.
+      --batch->attached;
+      done_cv_.notify_all();
+      continue;
+    }
+    work_cv_.wait(lock, [&] { return stop_ || published_ != seen; });
   }
 }
 
@@ -207,23 +256,23 @@ void Runner::run_indexed(std::size_t count,
                       std::memory_order_relaxed);
   };
   const Clock::time_point begin = Clock::now();
-  run_batch(count, timed);
+  const std::size_t steals = run_batch(count, timed);
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - begin).count();
   profiler->record_batch(jobs_, count, wall_s,
-                         1e-9 * static_cast<double>(busy_ns.load()),
-                         last_batch_steals_);
+                         1e-9 * static_cast<double>(busy_ns.load()), steals);
 }
 
-void Runner::run_batch(std::size_t count,
-                       const std::function<void(std::size_t)>& task) {
-  if (jobs_ == 1 || count == 1 || t_on_worker) {
-    // Inline execution steals nothing. Only the submitting thread may
-    // write the member: a nested batch runs on a worker lane, where a
-    // write would race the owner's read-back.
-    if (!t_on_worker) last_batch_steals_ = 0;
+std::size_t Runner::run_batch(std::size_t count,
+                              const std::function<void(std::size_t)>& task) {
+  // A nested batch drains on its submitter's own lane and leaves
+  // last_batch_steals_ to the top-level batch it runs inside.
+  const bool nested = t_current == this;
+  if (jobs_ == 1 || count == 1) {
+    const CurrentScope scope(this, nested ? t_lane : 0);
+    if (!nested) last_batch_steals_ = 0;
     for (std::size_t i = 0; i < count; ++i) task(i);
-    return;
+    return 0;
   }
 
   Batch batch;
@@ -252,25 +301,48 @@ void Runner::run_batch(std::size_t count,
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    batch.id = ++next_batch_id_;
-    batch_ = &batch;
+    batches_.push_back(&batch);
+    ++published_;
   }
   work_cv_.notify_all();
+  done_cv_.notify_all();  // submitters waiting below may help this batch
 
-  // Participate as lane 0. Mark this thread as a worker so a nested batch
-  // submitted by a task runs inline instead of deadlocking.
-  t_on_worker = true;
-  drain(batch, 0);
-  t_on_worker = false;
+  // Drain on the submitting thread's own lane (lane 0 for a top-level
+  // submitter). Every lane has at most one owner per batch: pool threads
+  // own lanes 1..jobs-1 and never submit as anything else.
+  const std::size_t lane = nested ? t_lane : 0;
+  drain(batch, lane, true);
 
+  // While the helpers finish their tasks, help any batch published after
+  // this one (nested in another lane's task): without this the top-level
+  // caller would idle through the slowest rung's waves. Never an older
+  // batch, which could hand this lane a whole rung to run before its own
+  // batch may return. Helping only steals: lane 0 is shared by every
+  // thread outside the pool, so popping it in a foreign batch could give
+  // one deque two owners.
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] {
-    return batch.finished == batch.count && batch.attached == 0;
-  });
-  batch_ = nullptr;
+  while (batch.finished != batch.count) {
+    const std::uint64_t seen = published_;
+    if (Batch* newer = open_batch(&batch)) {
+      ++newer->attached;
+      lock.unlock();
+      drain(*newer, lane, false);
+      lock.lock();
+      --newer->attached;
+      done_cv_.notify_all();
+      continue;
+    }
+    done_cv_.wait(lock, [&] {
+      return batch.finished == batch.count || published_ != seen;
+    });
+  }
+  done_cv_.wait(lock, [&] { return batch.attached == 0; });
+  batches_.erase(std::find(batches_.begin(), batches_.end(), &batch));
   lock.unlock();
-  last_batch_steals_ = batch.steals.load(std::memory_order_relaxed);
+  const std::size_t steals = batch.steals.load(std::memory_order_relaxed);
+  if (!nested) last_batch_steals_ = steals;
   if (batch.error) std::rethrow_exception(batch.error);
+  return steals;
 }
 
 }  // namespace hetscale::run

@@ -5,7 +5,9 @@
 //   * kDirectSearch — measure the combination directly; since E_s(N) is
 //     non-decreasing in N over the usable range, a doubling bracket plus
 //     integer bisection finds the smallest N with E_s(N) >= target in
-//     O(log N) simulated runs.
+//     O(log N) simulated runs. The bracket is sequential (each doubling
+//     costs several times the last); with a runner, the bisection runs in
+//     predicted-path waves of concurrent probes (see IsoSolveOptions).
 //   * kTrendLine — the paper's method: sample E_s at a handful of sizes,
 //     fit a polynomial trend line, read the target crossing off the trend,
 //     then verify by measuring at the read-off size (the "light gray dot"
@@ -31,15 +33,19 @@ struct IsoSolveOptions {
   std::int64_t trend_n_lo = 32;       ///< sampling window
   std::int64_t trend_n_hi = 2048;
 
-  /// Optional worker pool (not owned). When set with jobs > 1, the solver
-  /// submits its measurements as batches: the trend-line ladder is sampled
-  /// concurrently, and direct-search refinement becomes *speculative*
-  /// bisection — each wave measures the next levels of the bisection
-  /// decision tree concurrently, then replays the sequential decisions, so
-  /// the found N and measured E_s are identical to the sequential solve on
-  /// any E_s(n). The doubling bracket itself stays sequential — simulation
-  /// cost grows superlinearly with N, so speculating doublings ahead would
-  /// cost more than it hides.
+  /// Optional worker pool (not owned); when unset, the Runner whose batch
+  /// the calling thread is draining (run::Runner::current()) is used, so
+  /// the per-rung solves of a parallel scalability_series get one too.
+  /// With more than one lane, the trend-line ladder is sampled as one
+  /// batch (options.runner only), and direct-search bisection runs in
+  /// *predicted-path waves*: interpolate E_s linearly between the bracket
+  /// ends to predict the crossing, measure bisection's next four midpoints
+  /// along the predicted path as one batch, then replay the real decisions
+  /// on the measured values. The found N and E_s equal plain bisection's on
+  /// any E_s(n); the probe set depends on the combination and target,
+  /// never on jobs(). An ambient obs::Profiler keeps the bisection plain:
+  /// observed runs hold every span and message in memory, and serial
+  /// probing keeps a profiled run set the same at any worker count.
   run::Runner* runner = nullptr;
 };
 

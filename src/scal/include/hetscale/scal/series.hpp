@@ -49,8 +49,10 @@ struct SeriesReport {
 /// With a runner (jobs > 1), the per-system iso-solves run as one batch —
 /// they are independent simulations — and the report is assembled from the
 /// batch in ladder order, so it is bit-identical to the sequential build.
-/// An iso-solve submitted from a batch worker runs inline, so any runner in
-/// `solve` only adds parallelism when this outer batch is sequential.
+/// Each solve picks the runner up (run::Runner::current()) and submits its
+/// bisection waves as nested batches. Lanes freed by the cheap rungs help
+/// drain them — pool lanes and the calling thread alike, once it has run
+/// out of rungs — so the slowest rung stops being a serial critical path.
 SeriesReport scalability_series(std::span<Combination* const> combinations,
                                 double target_es,
                                 const IsoSolveOptions& solve = {},

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "hetscale/numeric/roots.hpp"
+#include "hetscale/obs/profiler.hpp"
 #include "hetscale/run/runner.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/log.hpp"
@@ -14,60 +14,64 @@ namespace hetscale::scal {
 
 namespace {
 
-/// Smallest n in [lo, hi] with E_s(n) >= target by *speculative* bisection:
-/// each wave measures, as one concurrent batch, every midpoint the
-/// sequential bisection could visit in its next d steps (the depth-d
-/// decision tree of the bracket, 2^d - 1 probes with 2^d - 1 <= jobs), then
-/// replays the d decisions on the cached measurements. The trajectory — and
-/// therefore the returned n — is identical to numeric::first_at_least on
-/// *any* E_s(n), including one with small non-monotone wiggles; the wave
-/// only trades redundant concurrent measurements for d levels of progress
-/// per sequential round trip.
+/// Bisection midpoints a wave measures at once. Four fills a 4-lane host;
+/// the rule, and so the probe set, does not depend on the runner's width.
+constexpr std::size_t kWaveWidth = 4;
+
+/// One end of a bisection bracket with its measured E_s.
+struct Bound {
+  std::int64_t n = 0;
+  double es = 0.0;
+};
+
+/// Smallest n in (lo.n, hi.n] with E_s(n) >= target, by integer bisection
+/// from the bracket E_s(lo) < target <= E_s(hi). Returns that end of the
+/// final bracket, so its E_s comes along without another measure call.
 ///
-/// Precondition (established by direct_search's doubling bracket): lo == hi,
-/// or E_s(lo) < target <= E_s(hi). Both endpoints were measured while
-/// bracketing, so the defensive entry probes of a general-purpose
-/// first_at_least would only repeat cache lookups — the invariant is
-/// asserted in debug builds instead of re-derived per call.
-std::int64_t speculative_first_at_least(Combination& combination,
-                                        double target, std::int64_t lo,
-                                        std::int64_t hi,
-                                        run::Runner& runner) {
-  const auto es_at = [&](std::int64_t n) {
-    return combination.measure(n).speed_efficiency;
-  };
-  HETSCALE_DCHECK(es_at(hi) >= target,
-                  "speculative bisection needs E_s(hi) >= target");
-  HETSCALE_DCHECK(lo == hi || es_at(lo) < target,
-                  "speculative bisection needs E_s(lo) < target");
-  int depth = 1;
-  while (depth < 20 &&
-         (std::int64_t{2} << depth) - 1 <= static_cast<std::int64_t>(
-                                               runner.jobs())) {
-    ++depth;
-  }
-  while (hi - lo > 1) {
-    std::vector<std::int64_t> probes;
-    std::vector<std::pair<std::int64_t, std::int64_t>> frontier{{lo, hi}};
-    for (int level = 0; level < depth; ++level) {
-      std::vector<std::pair<std::int64_t, std::int64_t>> next;
-      for (const auto& [a, b] : frontier) {
-        if (b - a <= 1) continue;
-        const std::int64_t mid = a + (b - a) / 2;
-        probes.push_back(mid);
-        next.emplace_back(a, mid);
-        next.emplace_back(mid, b);
-      }
-      frontier = std::move(next);
-    }
-    combination.measure_many(probes, runner);  // one concurrent wave
-    // Replay bisection's decisions against the now-cached measurements.
-    for (int level = 0; level < depth && hi - lo > 1; ++level) {
-      const std::int64_t mid = lo + (hi - lo) / 2;
-      if (es_at(mid) >= target) {
-        hi = mid;
+/// With a runner the bisection runs in predicted-path waves: interpolate
+/// E_s linearly between the bracket ends to predict the crossing, walk
+/// bisection's next kWaveWidth midpoints along the path that prediction
+/// implies, measure them as one measure_many batch, then replay the real
+/// decisions on the measured values for as long as each next midpoint is
+/// among them. A wrong prediction only wastes the wave's deeper probes; the
+/// decisions — and so the returned n and E_s — are those of plain bisection
+/// on *any* E_s(n), non-monotone wiggles included. Without a runner each
+/// wave is the single next midpoint, which is plain bisection.
+Bound bisect_crossing(Combination& combination, double target, Bound lo,
+                      Bound hi, run::Runner* runner) {
+  const std::size_t width = runner != nullptr ? kWaveWidth : 1;
+  std::vector<std::int64_t> wave;
+  while (hi.n - lo.n > 1) {
+    const double predicted =
+        static_cast<double>(lo.n) +
+        (target - lo.es) / (hi.es - lo.es) * static_cast<double>(hi.n - lo.n);
+    wave.clear();
+    for (std::int64_t a = lo.n, b = hi.n; wave.size() < width && b - a > 1;) {
+      const std::int64_t mid = a + (b - a) / 2;
+      wave.push_back(mid);
+      if (predicted <= static_cast<double>(mid)) {
+        b = mid;  // predicted E_s(mid) >= target
       } else {
-        lo = mid;
+        a = mid;
+      }
+    }
+    std::vector<Measurement> measured;
+    if (runner != nullptr) {
+      measured = combination.measure_many(wave, *runner);
+    } else {
+      measured.push_back(combination.measure(wave.front()));
+    }
+    // Replay bisection's decisions against the wave's measurements.
+    for (;;) {
+      const std::int64_t mid = lo.n + (hi.n - lo.n) / 2;
+      const auto at = std::find(wave.begin(), wave.end(), mid);
+      if (hi.n - lo.n <= 1 || at == wave.end()) break;
+      const auto index = static_cast<std::size_t>(at - wave.begin());
+      const Bound probe{mid, measured[index].speed_efficiency};
+      if (probe.es >= target) {
+        hi = probe;
+      } else {
+        lo = probe;
       }
     }
   }
@@ -79,31 +83,31 @@ IsoSolveResult direct_search(Combination& combination, double target_es,
   IsoSolveResult result;
   result.target_es = target_es;
 
-  auto es_at = [&](std::int64_t n) {
-    return combination.measure(n).speed_efficiency;
-  };
-
-  // Doubling bracket: find hi with E_s(hi) >= target. Kept sequential even
-  // under a runner — each doubling costs several times the previous one, so
-  // speculative measurement past the crossing wastes more work than the
-  // overlap recovers (see IsoSolveOptions::runner).
-  std::int64_t lo = options.n_min;
-  std::int64_t hi = lo;
-  while (es_at(hi) < target_es) {
-    if (hi >= options.n_max) return result;  // unreachable: not found
+  // Doubling bracket: find hi with E_s(hi) >= target. Sequential even under
+  // a runner — each doubling costs several times the previous one, so
+  // measuring doublings past the crossing would waste more than it hides.
+  Bound lo{options.n_min, 0.0};
+  Bound hi{options.n_min, combination.measure(options.n_min).speed_efficiency};
+  while (hi.es < target_es) {
+    if (hi.n >= options.n_max) return result;  // unreachable: not found
     lo = hi;
-    hi = std::min(options.n_max, hi * 2);
+    hi.n = std::min(options.n_max, hi.n * 2);
+    hi.es = combination.measure(hi.n).speed_efficiency;
   }
-  run::Runner* runner = options.runner;
-  const std::int64_t n =
-      (runner != nullptr && runner->jobs() > 1)
-          ? speculative_first_at_least(combination, target_es,
-                                       std::min(lo, hi), hi, *runner)
-          : numeric::first_at_least(es_at, target_es, std::min(lo, hi), hi);
-  HETSCALE_CHECK(n >= 0, "bracketed target vanished during bisection");
+
+  // Waves need lanes to run on, and an unobserved solve: a profiled run
+  // holds every span and message in memory (hundreds of MB for one large
+  // GE probe), and serial bisection keeps an observed run set the same at
+  // any --jobs.
+  run::Runner* runner =
+      options.runner != nullptr ? options.runner : run::Runner::current();
+  if (runner != nullptr && (runner->jobs() <= 1 || obs::current() != nullptr)) {
+    runner = nullptr;
+  }
+  if (lo.n < hi.n) hi = bisect_crossing(combination, target_es, lo, hi, runner);
   result.found = true;
-  result.n = n;
-  result.achieved_es = es_at(n);
+  result.n = hi.n;
+  result.achieved_es = hi.es;
   return result;
 }
 

@@ -91,10 +91,8 @@ RunResult large_p(const RunContext& context) {
                                                        large_p_config(p)));
     mm_ptrs.push_back(mm.back().get());
   }
-  scal::IsoSolveOptions solve;
-  solve.runner = &context.runner;
   const auto mm_series = scal::scalability_series(
-      mm_ptrs, kLargePMmTargetEs, solve, &context.runner);
+      mm_ptrs, kLargePMmTargetEs, {}, &context.runner);
 
   // ---- Render: one unified ladder table ---------------------------------
   Table table("Operating points (MM rows at the isospeed target)");

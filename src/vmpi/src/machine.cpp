@@ -279,9 +279,12 @@ RunResult Machine::run(const Program& program) {
     const net::NetworkStats& wire = network_->wire_model().stats();
     profile.wire_s = wire.wire_seconds;
     profile.contention_s = wire.contention_seconds;
-    for (const auto& [node, link] : wire.links) {
-      profile.links.push_back(
-          obs::LinkProfile{node, link.bytes, link.wire_s, link.stall_s});
+    for (std::size_t node = 0; node < wire.links.size(); ++node) {
+      const net::LinkStats& link = wire.links[node];
+      if (link.frames == 0) continue;
+      profile.links.push_back(obs::LinkProfile{static_cast<int>(node),
+                                               link.bytes, link.wire_s,
+                                               link.stall_s});
     }
     profile.des_events = scheduler_.events_processed();
     profile.des_queue_depth_max = scheduler_.max_queue_depth();

@@ -20,7 +20,12 @@ void Mailbox::post(Message message) {
       std::max(scheduler_->now(), message.arrival);
   const int source = message.source;
   const int tag = message.tag;
-  SlotQueue& queue = index_[index_key(source, tag)];
+  const std::uint64_t key = index_key(source, tag);
+  if (cached_queue_ == nullptr || cached_key_ != key) {
+    cached_queue_ = &index_[key];
+    cached_key_ = key;
+  }
+  SlotQueue& queue = *cached_queue_;
   if (queue.epoch != drain_epoch_) {
     queue.slots.clear();
     queue.head = 0;
@@ -52,9 +57,14 @@ std::optional<Message> Mailbox::take_match(int source, int tag) {
   if (source != kAnySource && tag != kAnyTag) {
     // Hot path: straight to this (source, tag)'s FIFO. Slots consumed by a
     // wildcard take in the meantime are skipped lazily.
-    const auto it = index_.find(index_key(source, tag));
-    if (it == index_.end()) return std::nullopt;
-    SlotQueue& queue = it->second;
+    const std::uint64_t key = index_key(source, tag);
+    if (cached_queue_ == nullptr || cached_key_ != key) {
+      const auto it = index_.find(key);
+      if (it == index_.end()) return std::nullopt;
+      cached_queue_ = &it->second;
+      cached_key_ = key;
+    }
+    SlotQueue& queue = *cached_queue_;
     if (queue.epoch != drain_epoch_) return std::nullopt;
     while (queue.head < queue.slots.size() &&
            pending_[queue.slots[queue.head]].source == kConsumedSource) {
@@ -101,7 +111,10 @@ void Mailbox::reset_slab() {
   pending_.clear();  // keeps capacity — the slab is reused
   head_ = 0;
   ++drain_epoch_;  // lazily empties every slot queue
-  if (index_.size() > kIndexKeyCap) index_.clear();
+  if (index_.size() > kIndexKeyCap) {
+    index_.clear();
+    cached_queue_ = nullptr;
+  }
 }
 
 void Mailbox::WaitAwaiter::await_suspend(std::coroutine_handle<> handle) {

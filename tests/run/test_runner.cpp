@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,7 +35,7 @@ TEST(Runner, SingleJobRunsInlineOnTheCaller) {
   std::vector<std::thread::id> seen(8);
   runner.run_indexed(8, [&](std::size_t i) {
     seen[i] = std::this_thread::get_id();
-    EXPECT_FALSE(Runner::on_worker_thread());
+    EXPECT_EQ(Runner::current(), &runner);
   });
   for (const auto id : seen) EXPECT_EQ(id, caller);
 }
@@ -54,12 +56,28 @@ TEST(Runner, TasksRunOnWorkerLanes) {
   Runner runner(4);
   std::atomic<int> on_worker{0};
   runner.run_indexed(16, [&](std::size_t) {
-    if (Runner::on_worker_thread()) on_worker.fetch_add(1);
+    if (Runner::current() == &runner) on_worker.fetch_add(1);
   });
-  // Every lane (pool workers and the participating caller) counts as a
-  // worker while draining.
+  // Every lane (pool workers and the participating caller) sees the runner
+  // while draining, and the caller stops seeing it once the batch returns.
   EXPECT_EQ(on_worker.load(), 16);
-  EXPECT_FALSE(Runner::on_worker_thread());
+  EXPECT_EQ(Runner::current(), nullptr);
+}
+
+TEST(Runner, CurrentNamesTheInnermostRunner) {
+  EXPECT_EQ(Runner::current(), nullptr);
+  Runner outer(4);
+  Runner inner(2);
+  std::atomic<int> wrong{0};
+  outer.run_indexed(8, [&](std::size_t) {
+    if (Runner::current() != &outer) wrong.fetch_add(1);
+    inner.run_indexed(4, [&](std::size_t) {
+      if (Runner::current() != &inner) wrong.fetch_add(1);
+    });
+    if (Runner::current() != &outer) wrong.fetch_add(1);
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(Runner::current(), nullptr);
 }
 
 TEST(Runner, ExceptionFromBatchPropagates) {
@@ -88,11 +106,114 @@ TEST(Runner, SequentialExceptionReportsFirstIndex) {
   }
 }
 
-TEST(Runner, NestedBatchesRunInlineWithoutDeadlock) {
+/// Spins until `count` reaches `target`; false if that takes longer than
+/// a generous deadline (a pool that never helps would otherwise hang).
+bool await_count(const std::atomic<int>& count, int target) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (count.load() < target) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// Nested help, deterministic in every interleaving: with jobs=2 the outer
+// batch deals task 0 to the caller's lane and task 1 to the worker's. Task
+// 1 holds the worker until task 0 has started, so the caller runs task 0.
+// Task 0 submits a nested batch whose two tasks each wait for the other to
+// start: the caller can run only one of them, so the nested batch completes
+// only if the worker, idle once task 1 returns, joins it and runs the other.
+TEST(Runner, NestedBatchIsHelpedByAnIdleLane) {
+  Runner runner(2);
+  std::atomic<int> outer_started{0};
+  std::atomic<int> inner_started{0};
+  std::atomic<int> timeouts{0};
+  std::vector<std::thread::id> inner_threads(2);
+  const auto out = runner.map(2, [&](std::size_t i) {
+    outer_started.fetch_add(1);
+    if (i == 1) {
+      if (!await_count(outer_started, 2)) timeouts.fetch_add(1);
+      return 1;
+    }
+    const auto inner = runner.map(2, [&](std::size_t j) {
+      EXPECT_EQ(Runner::current(), &runner);
+      inner_threads[j] = std::this_thread::get_id();
+      inner_started.fetch_add(1);
+      if (!await_count(inner_started, 2)) timeouts.fetch_add(1);
+      return static_cast<int>(10 + j);
+    });
+    return inner[0] + inner[1];
+  });
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(out, (std::vector<int>{21, 1}));
+  EXPECT_NE(inner_threads[0], inner_threads[1]);
+}
+
+// The roles swapped: the outer tasks hold each other until both have
+// started, so the caller runs one and the worker the other. The worker's
+// task submits the nested batch and the caller's returns at once, leaving
+// the caller waiting on the outer batch: the nested batch completes only if
+// that waiting caller joins it.
+TEST(Runner, NestedBatchIsHelpedByTheWaitingCaller) {
+  Runner runner(2);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> outer_started{0};
+  std::atomic<int> inner_started{0};
+  std::atomic<int> timeouts{0};
+  std::vector<std::thread::id> inner_threads(2);
+  runner.run_indexed(2, [&](std::size_t) {
+    outer_started.fetch_add(1);
+    if (!await_count(outer_started, 2)) timeouts.fetch_add(1);
+    if (std::this_thread::get_id() == caller) return;
+    runner.run_indexed(2, [&](std::size_t j) {
+      inner_threads[j] = std::this_thread::get_id();
+      inner_started.fetch_add(1);
+      if (!await_count(inner_started, 2)) timeouts.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_NE(inner_threads[0], inner_threads[1]);
+  EXPECT_TRUE(inner_threads[0] == caller || inner_threads[1] == caller);
+}
+
+// Same construction, but both nested tasks throw once both have started:
+// the nested batch rethrows its smallest failing index into outer task 0,
+// and the outer batch rethrows that on the caller.
+TEST(Runner, NestedExceptionRethrowsTheSmallestIndex) {
+  Runner runner(2);
+  std::atomic<int> outer_started{0};
+  std::atomic<int> inner_started{0};
+  try {
+    runner.run_indexed(2, [&](std::size_t i) {
+      outer_started.fetch_add(1);
+      if (i == 1) {
+        (void)await_count(outer_started, 2);
+        return;
+      }
+      runner.run_indexed(2, [&](std::size_t j) {
+        inner_started.fetch_add(1);
+        (void)await_count(inner_started, 2);
+        throw std::runtime_error("nested task " + std::to_string(j));
+      });
+    });
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "nested task 0");
+  }
+  EXPECT_EQ(inner_started.load(), 2);
+  // The pool survives the failed nested batch.
+  const auto out =
+      runner.map(8, [](std::size_t i) { return static_cast<int>(i) + 1; });
+  EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 36);
+}
+
+// Many nested batches from every lane at once: results stay in order.
+TEST(Runner, NestedBatchesFromEveryLaneMergeInOrder) {
   Runner runner(4);
   const auto out = runner.map(8, [&](std::size_t i) {
     const auto inner = runner.map(4, [&](std::size_t j) {
-      EXPECT_TRUE(Runner::on_worker_thread());
+      EXPECT_EQ(Runner::current(), &runner);
       return static_cast<int>(i * 10 + j);
     });
     return std::accumulate(inner.begin(), inner.end(), 0);
@@ -193,7 +314,7 @@ TEST(Runner, ParallelSimulationSweepMatchesSequentialExactly) {
 
 // Regression: the iso-solver's parallel refinement must land on the same N
 // as sequential bisection even where E_s(N) has small non-monotone wiggles
-// (speculative bisection replays the exact sequential trajectory).
+// (its waves replay the exact sequential trajectory).
 TEST(Runner, IsoSolveIsWorkerCountInvariant) {
   auto baseline_combo = scenarios::make_ge(2);
   const auto baseline = scal::required_problem_size(

@@ -1,9 +1,13 @@
 // A closed-form Combination for exercising the solver and series logic
 // without simulation cost: E_s(n) = n / (n + knee), so the required size
-// for target e is exactly n* = ceil(knee * e / (1 - e)).
+// for target e is exactly n* = ceil(knee * e / (1 - e)). An optional
+// wiggle adds wiggle * sin(n), making E_s non-monotone wherever its slope
+// is below the wiggle's (required_size is then no longer exact).
 #pragma once
 
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <string>
 
 #include "hetscale/scal/combination.hpp"
@@ -12,8 +16,12 @@ namespace hetscale::scal::testing {
 
 class AnalyticCombination final : public Combination {
  public:
-  AnalyticCombination(std::string name, double marked_speed, double knee)
-      : name_(std::move(name)), marked_speed_(marked_speed), knee_(knee) {}
+  AnalyticCombination(std::string name, double marked_speed, double knee,
+                      double wiggle = 0.0)
+      : name_(std::move(name)),
+        marked_speed_(marked_speed),
+        knee_(knee),
+        wiggle_(wiggle) {}
 
   const std::string& name() const override { return name_; }
   double marked_speed() const override { return marked_speed_; }
@@ -25,6 +33,7 @@ class AnalyticCombination final : public Combination {
 
   const Measurement& measure(std::int64_t n) override {
     ++measure_calls_;
+    probed_.insert(n);
     const double es = efficiency(n);
     last_.n = n;
     last_.work_flops = work(n);
@@ -36,7 +45,8 @@ class AnalyticCombination final : public Combination {
   }
 
   double efficiency(std::int64_t n) const {
-    return static_cast<double>(n) / (static_cast<double>(n) + knee_);
+    const double dn = static_cast<double>(n);
+    return dn / (dn + knee_) + wiggle_ * std::sin(dn);
   }
 
   /// Exact smallest integer n with efficiency(n) >= e (epsilon guard so a
@@ -47,13 +57,17 @@ class AnalyticCombination final : public Combination {
   }
 
   int measure_calls() const { return measure_calls_; }
+  /// Every size measured so far.
+  const std::set<std::int64_t>& probed() const { return probed_; }
 
  private:
   std::string name_;
   double marked_speed_;
   double knee_;
+  double wiggle_;
   Measurement last_;
   int measure_calls_ = 0;
+  std::set<std::int64_t> probed_;
 };
 
 }  // namespace hetscale::scal::testing

@@ -2,8 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <span>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "analytic_combination.hpp"
 #include "hetscale/machine/sunwulf.hpp"
+#include "hetscale/numeric/roots.hpp"
+#include "hetscale/run/runner.hpp"
+#include "hetscale/scal/measure_store.hpp"
+#include "hetscale/scal/series.hpp"
+#include "hetscale/scenarios/paper.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::scal {
@@ -112,6 +124,143 @@ TEST(IsoSolver, BroadcastTuningChangesTheOperatingPoint) {
   ASSERT_TRUE(binomial_point.found);
   EXPECT_EQ(flat_point.n, 421);  // table3's 4-node row
   EXPECT_EQ(binomial_point.n, 382);
+}
+
+// ---- predicted-path waves ------------------------------------------------
+
+/// Plain bisection as the solver defines it: the doubling bracket from
+/// n_min, then numeric::first_at_least inside it.
+std::int64_t sequential_answer(AnalyticCombination& combo, double target) {
+  const auto es = [&](std::int64_t n) { return combo.efficiency(n); };
+  std::int64_t lo = IsoSolveOptions{}.n_min;
+  std::int64_t hi = lo;
+  while (es(hi) < target) {
+    lo = hi;
+    hi *= 2;
+  }
+  return numeric::first_at_least(es, target, lo, hi);
+}
+
+/// Knee 1000 puts the crossings near n = 430..2330, where E_s rises by
+/// 1e-4 to 5e-4 per unit of n; the slope of 0.003 * sin(n) reaches 3e-3,
+/// so E_s goes up and down many times around every crossing, and some
+/// waves mispredict (their deeper probes go unused).
+constexpr double kKnee = 1000.0;
+constexpr double kWiggle = 0.003;
+
+class WaveTargets : public ::testing::TestWithParam<double> {};
+INSTANTIATE_TEST_SUITE_P(Targets, WaveTargets,
+                         ::testing::Values(0.3, 0.45, 0.5, 0.6, 0.7));
+
+TEST_P(WaveTargets, WavesMatchSequentialBisectionOnAWigglyCurve) {
+  const double target = GetParam();
+  AnalyticCombination plain("wiggly", 1e8, kKnee, kWiggle);
+  const auto expected = required_problem_size(plain, target);
+  ASSERT_TRUE(expected.found);
+  EXPECT_EQ(expected.n, sequential_answer(plain, target));
+  for (int jobs : {1, 2, 4, 8}) {
+    AnalyticCombination combo("wiggly", 1e8, kKnee, kWiggle);
+    run::Runner runner(jobs);
+    IsoSolveOptions options;
+    options.runner = &runner;
+    const auto got = required_problem_size(combo, target, options);
+    EXPECT_EQ(got.found, expected.found) << "jobs=" << jobs;
+    EXPECT_EQ(got.n, expected.n) << "jobs=" << jobs;
+    EXPECT_EQ(got.achieved_es, expected.achieved_es) << "jobs=" << jobs;
+    // Waves measure every size plain bisection does, plus any mispredicted
+    // deeper midpoints.
+    for (std::int64_t n : plain.probed()) {
+      EXPECT_TRUE(combo.probed().count(n)) << "jobs=" << jobs << " n=" << n;
+    }
+  }
+}
+
+TEST_P(WaveTargets, ProbeSetDoesNotDependOnTheWorkerCount) {
+  const double target = GetParam();
+  std::set<std::int64_t> reference;
+  for (int jobs : {2, 4, 8}) {
+    AnalyticCombination combo("wiggly", 1e8, kKnee, kWiggle);
+    run::Runner runner(jobs);
+    IsoSolveOptions options;
+    options.runner = &runner;
+    (void)required_problem_size(combo, target, options);
+    if (reference.empty()) {
+      reference = combo.probed();
+    } else {
+      EXPECT_EQ(combo.probed(), reference) << "jobs=" << jobs;
+    }
+  }
+}
+
+/// Forwarding combination counting batched measure calls, so a test can
+/// tell that the waves, not plain bisection, ran.
+class BatchCounting final : public Combination {
+ public:
+  explicit BatchCounting(std::unique_ptr<ClusterCombination> inner)
+      : inner_(std::move(inner)) {}
+  const std::string& name() const override { return inner_->name(); }
+  double marked_speed() const override { return inner_->marked_speed(); }
+  double work(std::int64_t n) const override { return inner_->work(n); }
+  const Measurement& measure(std::int64_t n) override {
+    return inner_->measure(n);
+  }
+  std::vector<Measurement> measure_many(std::span<const std::int64_t> sizes,
+                                        run::Runner& runner) override {
+    ++batches_;
+    return inner_->measure_many(sizes, runner);
+  }
+  int batches() const { return batches_; }
+
+ private:
+  std::unique_ptr<ClusterCombination> inner_;
+  int batches_ = 0;
+};
+
+std::string stored_entries() {
+  std::ostringstream os;
+  MeasurementStore::global().save(os);
+  return os.str();
+}
+
+/// The GE ladder 2..8, wrapped.
+std::vector<std::unique_ptr<BatchCounting>> ge_ladder() {
+  std::vector<std::unique_ptr<BatchCounting>> out;
+  for (int nodes : {2, 4, 8}) {
+    out.push_back(std::make_unique<BatchCounting>(scenarios::make_ge(nodes)));
+  }
+  return out;
+}
+
+// A series on a runner and per-rung solves inside one runner batch (the
+// way a benchmark re-drives a series rung by rung) pick the runner up the
+// same way, so they probe exactly the same sizes — both through waves.
+TEST(IsoSolver, SeriesProbesWhatPerRungSolvesInABatchProbe) {
+  auto& store = MeasurementStore::global();
+  const bool was_enabled = store.enabled();
+  store.set_enabled(true);
+  run::Runner runner(4);
+
+  auto series_ladder = ge_ladder();
+  std::vector<Combination*> ptrs;
+  for (auto& rung : series_ladder) ptrs.push_back(rung.get());
+  store.clear();
+  (void)scalability_series(ptrs, scenarios::kGeTargetEs, {}, &runner);
+  const std::string from_series = stored_entries();
+
+  auto rung_ladder = ge_ladder();
+  store.clear();
+  runner.run_indexed(rung_ladder.size(), [&](std::size_t i) {
+    (void)required_problem_size(*rung_ladder[i], scenarios::kGeTargetEs, {});
+  });
+  const std::string from_rungs = stored_entries();
+  store.clear();
+  store.set_enabled(was_enabled);
+
+  EXPECT_EQ(from_series, from_rungs);
+  for (std::size_t i = 0; i < series_ladder.size(); ++i) {
+    EXPECT_GT(series_ladder[i]->batches(), 0) << "rung " << i;
+    EXPECT_EQ(series_ladder[i]->batches(), rung_ladder[i]->batches());
+  }
 }
 
 TEST(IsoSolver, InvalidArgumentsRejected) {

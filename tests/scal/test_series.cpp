@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "analytic_combination.hpp"
+#include "hetscale/obs/profiler.hpp"
+#include "hetscale/run/runner.hpp"
+#include "hetscale/scal/measure_store.hpp"
 #include "hetscale/scal/metrics.hpp"
+#include "hetscale/scenarios/paper.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::scal {
@@ -86,6 +92,44 @@ TEST(Series, NeedsAtLeastTwoSystems) {
   AnalyticCombination a("solo", 1e8, 100.0);
   std::vector<Combination*> combos{&a};
   EXPECT_THROW(scalability_series(combos, 0.5), PreconditionError);
+}
+
+/// The simulated runs a profiled MM series over 2..8 nodes collects, as
+/// (elapsed, messages) in the profiler's canonical order. The solves are
+/// also handed the runner explicitly, the most direct request for waves.
+std::vector<std::tuple<double, std::uint64_t>> profiled_mm_runs(int jobs) {
+  std::vector<std::unique_ptr<MmCombination>> owned;
+  std::vector<Combination*> ladder;
+  for (int nodes : {2, 4, 8}) {
+    owned.push_back(scenarios::make_mm(nodes));
+    ladder.push_back(owned.back().get());
+  }
+  run::Runner runner(jobs);
+  IsoSolveOptions solve;
+  solve.runner = &runner;
+  obs::Profiler profiler;
+  {
+    obs::ProfilerScope scope(profiler);
+    (void)scalability_series(ladder, scenarios::kMmTargetEs, solve, &runner);
+  }
+  std::vector<std::tuple<double, std::uint64_t>> runs;
+  for (const obs::RunProfile& run : profiler.sorted_runs()) {
+    runs.emplace_back(run.elapsed_s, run.messages);
+  }
+  return runs;
+}
+
+// analyze/profile must see the same run set at any --jobs: a profiled
+// solve bisects plainly even when it is handed a multi-lane runner.
+TEST(Series, ProfiledRunSetDoesNotDependOnJobs) {
+  auto& store = MeasurementStore::global();
+  const bool was_enabled = store.enabled();
+  store.set_enabled(false);  // every probe simulates, so every probe shows
+  const auto sequential = profiled_mm_runs(1);
+  const auto parallel = profiled_mm_runs(4);
+  store.set_enabled(was_enabled);
+  EXPECT_FALSE(sequential.empty());
+  EXPECT_EQ(parallel, sequential);
 }
 
 }  // namespace

@@ -244,6 +244,36 @@ TEST(LargePEngine, MailboxIndexSurvivesKeyChurnAndDrains) {
   }
 }
 
+// The last-used key's queue is cached across post/take; clearing the index
+// after a churn past its key cap must drop that cache too. After the clear,
+// a post to the previously cached key must land in the live index, where a
+// take reached through a different key's lookup still finds it.
+TEST(LargePEngine, MailboxMatchesAfterTheIndexClears) {
+  des::Scheduler scheduler;
+  Mailbox box(scheduler);
+  for (int tag = 0; tag < 100; ++tag) box.post(make_message(3, tag, tag));
+  box.post(make_message(0, 7, -1.0));  // cached key (0, 7)
+  for (int tag = 99; tag >= 0; --tag) {
+    auto m = box.take_match(3, tag);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_DOUBLE_EQ(m->payload.scalar(), tag);
+  }
+  auto last = box.take_match(0, 7);  // full drain: the index clears
+  ASSERT_TRUE(last.has_value());
+  EXPECT_DOUBLE_EQ(last->payload.scalar(), -1.0);
+
+  box.post(make_message(0, 7, 1.0));
+  box.post(make_message(0, 8, 2.0));  // moves the cache off (0, 7)
+  auto again = box.take_match(0, 7);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_DOUBLE_EQ(again->payload.scalar(), 1.0);
+  auto other = box.take_match(0, 8);
+  ASSERT_TRUE(other.has_value());
+  EXPECT_DOUBLE_EQ(other->payload.scalar(), 2.0);
+  EXPECT_FALSE(box.take_match(0, 7).has_value());
+  EXPECT_EQ(box.pending_count(), 0u);
+}
+
 // 4096 concurrent rank actors: the ladder queue's high-water mark and the
 // live coroutine-frame peak must stay linear in p (each rank contributes
 // O(1) pending events and a bounded coroutine stack), not p log p or p^2 —

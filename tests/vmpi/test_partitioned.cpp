@@ -7,6 +7,7 @@
 // changes host scheduling only, never a single simulated bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -40,6 +41,10 @@ net::NetworkParams fast_params() {
   return p;
 }
 
+net::LinkStats link_of(const net::NetworkStats& stats, std::size_t node) {
+  return node < stats.links.size() ? stats.links[node] : net::LinkStats{};
+}
+
 void expect_same_result(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.elapsed, b.elapsed);  // bit-equal, not approximately
   ASSERT_EQ(a.ranks.size(), b.ranks.size());
@@ -64,14 +69,18 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
               1e-12 * std::abs(a.network.wire_seconds));
   EXPECT_NEAR(a.network.contention_seconds, b.network.contention_seconds,
               1e-12 * std::abs(a.network.contention_seconds) + 1e-300);
-  ASSERT_EQ(a.network.links.size(), b.network.links.size());
-  auto ita = a.network.links.begin();
-  auto itb = b.network.links.begin();
-  for (; ita != a.network.links.end(); ++ita, ++itb) {
-    EXPECT_EQ(ita->first, itb->first);
-    EXPECT_EQ(ita->second.bytes, itb->second.bytes);
-    EXPECT_EQ(ita->second.wire_s, itb->second.wire_s);
-    EXPECT_EQ(ita->second.stall_s, itb->second.stall_s);
+  // A partitioned run presizes the link table to the node count, while a
+  // sequential one grows it to the highest sender; idle tails compare as
+  // frame-less links.
+  const std::size_t nodes =
+      std::max(a.network.links.size(), b.network.links.size());
+  for (std::size_t node = 0; node < nodes; ++node) {
+    const net::LinkStats la = link_of(a.network, node);
+    const net::LinkStats lb = link_of(b.network, node);
+    EXPECT_EQ(la.frames, lb.frames) << "node " << node;
+    EXPECT_EQ(la.bytes, lb.bytes) << "node " << node;
+    EXPECT_EQ(la.wire_s, lb.wire_s) << "node " << node;
+    EXPECT_EQ(la.stall_s, lb.stall_s) << "node " << node;
   }
 }
 
@@ -121,6 +130,48 @@ TEST(Partitioned, MixedWorkloadBitIdenticalAcrossSimThreads) {
   expect_same_result(sequential, run_mixed(8, 2));
   expect_same_result(sequential, run_mixed(8, 3));  // uneven partitions
   expect_same_result(sequential, run_mixed(8, 8));
+}
+
+/// Even ranks send to their odd neighbour; odd ranks never send, so the
+/// link table has holes and a sequential run's ends below the node count.
+RunResult run_even_senders(int sim_threads) {
+  auto machine = Machine::switched(node_per_rank(8), fast_params());
+  machine.set_sim_threads(sim_threads);
+  return machine.run([](Comm& comm) -> Task<void> {
+    for (int round = 0; round < 4; ++round) {
+      if (comm.rank() % 2 == 0) {
+        co_await comm.send(comm.rank() + 1, round, 512.0 * (comm.rank() + 1),
+                           {});
+      } else {
+        (void)co_await comm.recv(comm.rank() - 1, round);
+      }
+    }
+  });
+}
+
+TEST(Partitioned, PerLinkStatsMatchTheSequentialRun) {
+  const RunResult sequential = run_even_senders(1);
+  const RunResult partitioned = run_even_senders(4);
+  expect_same_result(sequential, partitioned);
+  for (std::size_t node = 0; node < 8; ++node) {
+    const net::LinkStats link = link_of(partitioned.network, node);
+    EXPECT_EQ(link.frames, node % 2 == 0 ? 4u : 0u) << "node " << node;
+    EXPECT_EQ(link.bytes, node % 2 == 0 ? 4 * 512.0 * (node + 1) : 0.0);
+  }
+}
+
+// The profile lists exactly the nodes that sent a frame, in node order.
+TEST(Partitioned, ProfileListsOnlySendingLinks) {
+  obs::Profiler profiler;
+  {
+    obs::ProfilerScope scope(profiler);
+    (void)run_even_senders(1);
+  }
+  ASSERT_EQ(profiler.runs(), 1u);
+  const obs::RunProfile run = profiler.sorted_runs().front();
+  std::vector<int> nodes;
+  for (const obs::LinkProfile& link : run.links) nodes.push_back(link.node);
+  EXPECT_EQ(nodes, (std::vector<int>{0, 2, 4, 6}));
 }
 
 TEST(Partitioned, ThreadCountBeyondWorldSizeClamps) {
