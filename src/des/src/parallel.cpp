@@ -28,9 +28,21 @@ void SpinBarrier::arrive_and_wait() {
   }
 }
 
-std::vector<std::exception_ptr> run_conservative(
-    const std::vector<Scheduler*>& partitions, double lookahead_s,
-    const PartitionHooks& hooks) {
+namespace {
+/// One partition's published round state, double-buffered by round parity
+/// and padded to its own cache line so partitions never write a line that
+/// another partition's slot shares.
+struct alignas(64) PublishedBound {
+  SimTime bound[2] = {0.0, 0.0};
+  bool failed[2] = {false, false};
+};
+static_assert(sizeof(PublishedBound) % 64 == 0,
+              "each partition's published bound needs its own cache line");
+}  // namespace
+
+ConservativeRun run_conservative(const std::vector<Scheduler*>& partitions,
+                                 double lookahead_s,
+                                 const PartitionHooks& hooks) {
   const int count = static_cast<int>(partitions.size());
   HETSCALE_REQUIRE(count >= 1, "need at least one partition");
   HETSCALE_REQUIRE(lookahead_s > 0.0,
@@ -38,51 +50,59 @@ std::vector<std::exception_ptr> run_conservative(
 
   constexpr SimTime kIdle = std::numeric_limits<SimTime>::infinity();
   SpinBarrier barrier(count);
-  std::vector<SimTime> next_time(partitions.size(), 0.0);
-  std::vector<std::exception_ptr> errors(partitions.size());
-  std::atomic<bool> failed{false};
+  std::vector<PublishedBound> published(partitions.size());
+  ConservativeRun run;
+  run.errors.resize(partitions.size());
 
   const auto partition_loop = [&](int p) {
     Scheduler& scheduler = *partitions[static_cast<std::size_t>(p)];
-    std::exception_ptr& error = errors[static_cast<std::size_t>(p)];
-    // A failed segment must not unwind past a barrier — the two-barrier
-    // round would desynchronize and strand the other threads — so every
-    // segment traps locally. A failed partition keeps the rendezvous
-    // rhythm, publishing "idle" until the round where everyone observes
-    // the failure flag and exits together.
+    std::exception_ptr& error = run.errors[static_cast<std::size_t>(p)];
+    PublishedBound& own = published[static_cast<std::size_t>(p)];
+    // A failed segment must not unwind past a barrier — the others would
+    // wait for it forever — so every segment traps locally. A failed
+    // partition publishes the failure with its next bound; every thread
+    // reads it after that round's barrier, so all of them exit together.
     const auto guarded = [&](const auto& segment) {
       if (error) return;
       try {
         segment();
       } catch (...) {
         error = std::current_exception();
-        failed.store(true, std::memory_order_release);
       }
     };
 
     guarded([&] {
       if (hooks.bootstrap) hooks.bootstrap(p);
     });
-    for (;;) {
-      // Top of the round: all partitions have finished the previous window
-      // (or just bootstrapped) — cross-partition handoffs are complete and
-      // safe to deliver. The failure check sits here so every thread exits
-      // at the same rendezvous.
+    std::uint64_t windows = 0;
+    for (unsigned round = 0;; ++round) {
+      const unsigned parity = round & 1u;
+      SimTime bound = kIdle;
+      guarded([&] {
+        bound = scheduler.next_event_time();
+        if (hooks.handoff_bound) {
+          bound = std::min(bound, hooks.handoff_bound(p));
+        }
+      });
+      own.bound[parity] = bound;
+      own.failed[parity] = error != nullptr;
       barrier.arrive_and_wait();
-      if (failed.load(std::memory_order_acquire)) break;
+      // Every thread folds the same published slots, so all agree on the
+      // window bound, on quiescence and on failure without a leader.
+      SimTime horizon = kIdle;
+      bool failed = false;
+      for (const PublishedBound& slot : published) {
+        horizon = std::min(horizon, slot.bound[parity]);
+        failed = failed || slot.failed[parity];
+      }
+      if (failed || horizon == kIdle) break;
       guarded([&] {
         if (hooks.deliver) hooks.deliver(p);
       });
-      next_time[static_cast<std::size_t>(p)] =
-          error ? kIdle : scheduler.next_event_time();
-      barrier.arrive_and_wait();
-      // Every thread folds the same published times, so all agree on the
-      // window bound (and on quiescence) without a leader.
-      SimTime horizon = kIdle;
-      for (const SimTime t : next_time) horizon = std::min(horizon, t);
-      if (horizon == kIdle) break;
       guarded([&] { scheduler.run_window(horizon + lookahead_s); });
+      ++windows;
     }
+    if (p == 0) run.windows = windows;
     // Per-partition liveness/exception check, even after a failure
     // elsewhere: the caller prefers real exceptions over the secondary
     // deadlocks an aborted run leaves behind, and checking unconditionally
@@ -96,7 +116,8 @@ std::vector<std::exception_ptr> run_conservative(
     threads.emplace_back(partition_loop, p);
   }
   for (std::thread& thread : threads) thread.join();
-  return errors;
+  run.rendezvous = barrier.generation();
+  return run;
 }
 
 }  // namespace hetscale::des

@@ -147,8 +147,17 @@ class Network {
   /// partitioned run, the shared totals otherwise.
   NetworkStats& sink();
 
+  /// One partition's stats sink, on cache lines of its own: every message
+  /// writes its shard twice, so shards sharing a line would bounce it
+  /// between the partition threads.
+  struct alignas(64) StatsShard {
+    NetworkStats stats;
+  };
+  static_assert(sizeof(StatsShard) % 64 == 0,
+                "each stats shard needs whole cache lines");
+
   NetworkStats stats_;
-  std::vector<NetworkStats> shards_;  ///< non-empty only while partitioned
+  std::vector<StatsShard> shards_;  ///< non-empty only while partitioned
 };
 
 }  // namespace hetscale::net

@@ -38,15 +38,15 @@ void Network::begin_partitioned(int partitions, int node_count) {
   if (stats_.links.size() < static_cast<std::size_t>(node_count)) {
     stats_.links.resize(static_cast<std::size_t>(node_count));
   }
-  shards_.assign(static_cast<std::size_t>(partitions), NetworkStats{});
+  shards_.assign(static_cast<std::size_t>(partitions), StatsShard{});
 }
 
 void Network::end_partitioned() {
-  for (const NetworkStats& shard : shards_) {
-    stats_.messages += shard.messages;
-    stats_.bytes += shard.bytes;
-    stats_.wire_seconds += shard.wire_seconds;
-    stats_.contention_seconds += shard.contention_seconds;
+  for (const StatsShard& shard : shards_) {
+    stats_.messages += shard.stats.messages;
+    stats_.bytes += shard.stats.bytes;
+    stats_.wire_seconds += shard.stats.wire_seconds;
+    stats_.contention_seconds += shard.stats.contention_seconds;
   }
   shards_.clear();
 }
@@ -56,7 +56,7 @@ void Network::set_thread_partition(int partition) { t_partition = partition; }
 NetworkStats& Network::sink() {
   if (!shards_.empty() && t_partition >= 0 &&
       static_cast<std::size_t>(t_partition) < shards_.size()) {
-    return shards_[static_cast<std::size_t>(t_partition)];
+    return shards_[static_cast<std::size_t>(t_partition)].stats;
   }
   return stats_;
 }

@@ -2,8 +2,10 @@
 // virtual parallel computer, and launches SPMD programs on it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -173,6 +175,10 @@ class Machine {
   /// cross-partition deliveries batch).
   bool partitioned() const { return partitioned_; }
 
+  /// Conservative windows the finished run executed: 0 for a sequential
+  /// run. Host-side telemetry, so it stays out of RunResult.
+  std::uint64_t conservative_windows() const { return conservative_windows_; }
+
   /// The scheduler driving `rank`: the shared one, or the rank's partition
   /// scheduler inside a partitioned run.
   des::Scheduler& scheduler_for(int rank);
@@ -244,17 +250,29 @@ class Machine {
 
   int sim_threads_ = 1;
   bool partitioned_ = false;
-  int partition_count_ = 0;
   std::vector<int> partition_of_;  ///< rank -> partition (contiguous blocks)
   std::vector<std::unique_ptr<des::Scheduler>> partition_schedulers_;
   std::vector<des::Scheduler*> rank_scheduler_;  ///< rank -> its scheduler
-  /// outboxes_[src_partition * partition_count_ + dst_partition]: messages
-  /// parked between window boundaries. Only the source partition's thread
-  /// appends; only the destination's drains — and never concurrently (the
-  /// drain happens inside the barrier-fenced delivery phase).
-  std::vector<std::vector<Handoff>> outboxes_;
-  std::vector<std::uint64_t> handoff_seq_;      ///< per-source post counter
-  std::vector<std::vector<Handoff>> inbox_scratch_;  ///< per-partition sort buffer
+  /// One partition's handoff state, written on its own thread during its
+  /// windows and padded to whole cache lines so partitions never share one.
+  struct alignas(64) PartitionState {
+    /// The outbox buffer this partition's current window writes; flips at
+    /// every delivery (double-buffering by round parity).
+    int parity = 0;
+    /// Earliest arrival among the handoffs posted since the last bound.
+    des::SimTime emitted_bound = std::numeric_limits<des::SimTime>::infinity();
+    /// outboxes[parity][dst_partition]: messages parked until the next
+    /// window boundary. Only this partition appends; the destination drains
+    /// a buffer in the round after it was written, while this partition
+    /// writes the other one.
+    std::array<std::vector<std::vector<Handoff>>, 2> outboxes;
+    std::vector<Handoff> inbox_scratch;  ///< this partition's sort buffer
+  };
+  static_assert(sizeof(PartitionState) % 64 == 0,
+                "partition handoff state needs whole cache lines");
+  std::vector<PartitionState> partition_state_;
+  std::vector<std::uint64_t> handoff_seq_;  ///< per-source post counter
+  std::uint64_t conservative_windows_ = 0;
 };
 
 }  // namespace hetscale::vmpi

@@ -4,14 +4,14 @@
 // times) and a *real* payload (what the algorithm computes with) — virtual
 // time and real data are deliberately decoupled (DESIGN.md §6.1). Payloads
 // are pooled (payload.hpp), and the pending queue is a vector drained by
-// index rather than a deque, so steady-state delivery performs no heap
-// traffic at all.
+// index rather than a deque; each (source, tag) key's FIFO is a chain of
+// slot numbers through that vector, found through one flat hash table. So
+// steady-state delivery performs no heap traffic at all.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "hetscale/des/scheduler.hpp"
@@ -59,9 +59,10 @@ class Mailbox {
   /// honouring wildcards; messages are matched in post order (MPI's
   /// non-overtaking rule). Arrival times are NOT consulted here — the caller
   /// waits out a future arrival itself. Wildcard-free matches (every
-  /// collective and algorithm in the tree) hit a per-(source, tag) FIFO
-  /// index — O(1) regardless of how many unrelated messages are pending, so
-  /// a flat-collective root at p=4096 no longer pays an O(p) scan per take.
+  /// collective and algorithm in the tree) go straight to their key's FIFO
+  /// through a flat open-addressing index — one hash and, at load <= 1/2,
+  /// about one probe into one contiguous table, regardless of how many
+  /// unrelated messages are pending.
   std::optional<Message> take_match(int source, int tag);
 
   /// Awaitable: suspend until the next post. Only one waiter may exist.
@@ -92,17 +93,24 @@ class Mailbox {
   };
 
   /// Sentinel for a slot whose message was taken: slots tombstone in place
-  /// (the index holds positions into pending_, so mid-erase would shift
+  /// (the key chains hold positions into pending_, so mid-erase would shift
   /// them) and the whole slab resets when it fully drains — the
   /// overwhelmingly common case between collective phases.
   static constexpr int kConsumedSource = -2;
 
-  /// FIFO of slot positions for one (source, tag) key. `epoch` lazily
-  /// invalidates the queue after a full drain without touching the map.
-  struct SlotQueue {
-    std::vector<std::size_t> slots;
-    std::size_t head = 0;
-    std::uint64_t epoch = 0;
+  /// End of a key chain (and "no slot" in an empty chain's head).
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  /// One (source, tag) key of the open-addressing index: the first and
+  /// last slot of the key's FIFO, which is threaded through the slab by
+  /// next_. An entry whose epoch is not the current drain_epoch_ is empty,
+  /// so a full drain clears the whole table by bumping the epoch. Entries
+  /// are never deleted between drains, which keeps linear probing valid.
+  struct KeyEntry {
+    std::uint64_t key = 0;
+    std::uint64_t epoch = 0;  ///< 0 never matches: drain_epoch_ starts at 1
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
   };
 
   static std::uint64_t index_key(int source, int tag) {
@@ -111,6 +119,17 @@ class Mailbox {
            static_cast<std::uint32_t>(tag);
   }
 
+  /// Home bucket of `key`: the top log2(table size) bits of its Fibonacci
+  /// hash. Only called on a non-empty table.
+  std::size_t bucket(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                    table_shift_);
+  }
+
+  KeyEntry* find_key(std::uint64_t key);
+  KeyEntry& find_or_insert_key(std::uint64_t key);
+  KeyEntry& empty_entry_for(std::uint64_t key);
+  void grow_table();
   std::optional<Message> consume(std::size_t slot);
   void reset_slab();
 
@@ -121,15 +140,14 @@ class Mailbox {
   std::vector<Message> pending_;
   std::size_t head_ = 0;
   std::size_t live_count_ = 0;
-  std::unordered_map<std::uint64_t, SlotQueue> index_;
-  /// The last key posted or taken and its queue: traffic repeats one
-  /// (source, tag) in runs (a collective's rounds, a pipeline's steps), so
-  /// most calls skip the hash — 61–85% of posts and takes on the hsbench
-  /// workloads. Map nodes are stable, so the pointer only dies with
-  /// index_.clear(), which resets it.
-  std::uint64_t cached_key_ = 0;
-  SlotQueue* cached_queue_ = nullptr;
-  std::uint64_t drain_epoch_ = 0;
+  /// next_[slot]: the next slot of the same (source, tag), or kNoSlot.
+  std::vector<std::uint32_t> next_;
+  /// The index: a power-of-two table probed linearly from a Fibonacci hash
+  /// of the key, kept at most half full. Empty until the first post.
+  std::vector<KeyEntry> table_;
+  unsigned table_shift_ = 63;  ///< 64 - log2(table_.size())
+  std::size_t keys_ = 0;       ///< live entries in the current epoch
+  std::uint64_t drain_epoch_ = 1;
   std::coroutine_handle<> waiter_;
   std::optional<WaitingRecv> waiting_;
 };

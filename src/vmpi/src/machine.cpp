@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_set>
@@ -124,8 +125,10 @@ void Machine::post_message(int src, int dst, Message message) {
   // uniquely owned first, so its non-atomic refcounts never straddle a
   // partition boundary.
   message.payload.detach_for_transfer();
-  auto& outbox = outboxes_[static_cast<std::size_t>(
-      src_part * partition_count_ + dst_part)];
+  PartitionState& state = partition_state_[static_cast<std::size_t>(src_part)];
+  state.emitted_bound = std::min(state.emitted_bound, message.arrival);
+  auto& outbox = state.outboxes[static_cast<std::size_t>(state.parity)]
+                               [static_cast<std::size_t>(dst_part)];
   outbox.push_back(Handoff{
       rank_scheduler_[static_cast<std::size_t>(src)]->now(), src, dst,
       handoff_seq_[static_cast<std::size_t>(src)]++, std::move(message)});
@@ -152,11 +155,15 @@ bool Machine::partition_eligible() const {
 }
 
 void Machine::deliver_inboxes(int partition) {
-  auto& scratch = inbox_scratch_[static_cast<std::size_t>(partition)];
+  PartitionState& self = partition_state_[static_cast<std::size_t>(partition)];
+  // The sources wrote the buffer of the old parity during the window that
+  // just ended; this partition's next window writes the other one.
+  const auto drained = static_cast<std::size_t>(self.parity);
+  self.parity ^= 1;
+  auto& scratch = self.inbox_scratch;
   scratch.clear();
-  for (int src_part = 0; src_part < partition_count_; ++src_part) {
-    auto& inbox = outboxes_[static_cast<std::size_t>(
-        src_part * partition_count_ + partition)];
+  for (PartitionState& source : partition_state_) {
+    auto& inbox = source.outboxes[drained][static_cast<std::size_t>(partition)];
     for (Handoff& handoff : inbox) scratch.push_back(std::move(handoff));
     inbox.clear();
   }
@@ -321,7 +328,6 @@ RunResult Machine::run(const Program& program) {
 RunResult Machine::run_partitioned(const Program& program, int partitions) {
   ran_ = true;
   const int world = world_size();
-  partition_count_ = partitions;
   partition_of_.resize(static_cast<std::size_t>(world));
   rank_scheduler_.assign(static_cast<std::size_t>(world), nullptr);
   partition_schedulers_.clear();
@@ -345,10 +351,13 @@ RunResult Machine::run_partitioned(const Program& program, int partitions) {
     comms_[static_cast<std::size_t>(r)].bind_scheduler(
         rank_scheduler_[static_cast<std::size_t>(r)]);
   }
-  outboxes_.assign(static_cast<std::size_t>(partitions) *
-                       static_cast<std::size_t>(partitions),
-                   {});
-  inbox_scratch_.assign(static_cast<std::size_t>(partitions), {});
+  partition_state_ = std::vector<PartitionState>(
+      static_cast<std::size_t>(partitions));
+  for (PartitionState& state : partition_state_) {
+    for (auto& outbox : state.outboxes) {
+      outbox.resize(static_cast<std::size_t>(partitions));
+    }
+  }
   handoff_seq_.assign(static_cast<std::size_t>(world), 0);
   int max_node = 0;
   for (const machine::Processor& proc : processors_) {
@@ -369,6 +378,11 @@ RunResult Machine::run_partitioned(const Program& program, int partitions) {
           rank_main(*this, comms_[static_cast<std::size_t>(r)], program));
     }
   };
+  hooks.handoff_bound = [&](int p) {
+    return std::exchange(
+        partition_state_[static_cast<std::size_t>(p)].emitted_bound,
+        std::numeric_limits<des::SimTime>::infinity());
+  };
   hooks.deliver = [&](int p) { deliver_inboxes(p); };
 
   std::vector<des::Scheduler*> schedulers;
@@ -376,8 +390,9 @@ RunResult Machine::run_partitioned(const Program& program, int partitions) {
   for (const auto& scheduler : partition_schedulers_) {
     schedulers.push_back(scheduler.get());
   }
-  const std::vector<std::exception_ptr> errors =
+  const des::ConservativeRun run =
       des::run_conservative(schedulers, network_->lookahead_s(), hooks);
+  conservative_windows_ = run.windows;
   partitioned_ = false;
   network_->end_partitioned();
 
@@ -388,7 +403,7 @@ RunResult Machine::run_partitioned(const Program& program, int partitions) {
   std::exception_ptr first_error;
   bool deadlocked = false;
   std::string deadlock_what;
-  for (const std::exception_ptr& error : errors) {
+  for (const std::exception_ptr& error : run.errors) {
     if (!error) continue;
     try {
       std::rethrow_exception(error);

@@ -1,6 +1,7 @@
 #include "hetscale/vmpi/message.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "hetscale/support/error.hpp"
@@ -8,11 +9,12 @@
 namespace hetscale::vmpi {
 
 namespace {
-// A mailbox whose (source, tag) key set outgrows this after a full drain
-// frees the map outright instead of epoch-recycling it: workloads that mint
-// a fresh tag per step (pipelined GE) would otherwise grow the index without
-// bound, p mailboxes deep.
-constexpr std::size_t kIndexKeyCap = 64;
+// The index starts at this many entries and doubles at load 1/2. A drain
+// frees a table grown past kTableCap, so a mailbox that once held many keys
+// (a flat-gather root, or pipelined GE minting a fresh tag per step) does
+// not keep that table for the rest of the run, p mailboxes deep.
+constexpr std::size_t kMinTableSize = 8;
+constexpr std::size_t kTableCap = 128;
 }  // namespace
 
 void Mailbox::post(Message message) {
@@ -20,19 +22,16 @@ void Mailbox::post(Message message) {
       std::max(scheduler_->now(), message.arrival);
   const int source = message.source;
   const int tag = message.tag;
-  const std::uint64_t key = index_key(source, tag);
-  if (cached_queue_ == nullptr || cached_key_ != key) {
-    cached_queue_ = &index_[key];
-    cached_key_ = key;
+  const auto slot = static_cast<std::uint32_t>(pending_.size());
+  KeyEntry& entry = find_or_insert_key(index_key(source, tag));
+  if (entry.head == kNoSlot) {
+    entry.head = slot;
+  } else {
+    next_[entry.tail] = slot;
   }
-  SlotQueue& queue = *cached_queue_;
-  if (queue.epoch != drain_epoch_) {
-    queue.slots.clear();
-    queue.head = 0;
-    queue.epoch = drain_epoch_;
-  }
-  queue.slots.push_back(pending_.size());
+  entry.tail = slot;
   pending_.push_back(std::move(message));
+  next_.push_back(kNoSlot);
   ++live_count_;
   if (waiter_) {
     // Wake the waiting recv only if THIS message matches what it asked for.
@@ -55,31 +54,20 @@ void Mailbox::post(Message message) {
 
 std::optional<Message> Mailbox::take_match(int source, int tag) {
   if (source != kAnySource && tag != kAnyTag) {
-    // Hot path: straight to this (source, tag)'s FIFO. Slots consumed by a
+    // Hot path: straight to this (source, tag)'s chain. Slots consumed by a
     // wildcard take in the meantime are skipped lazily.
-    const std::uint64_t key = index_key(source, tag);
-    if (cached_queue_ == nullptr || cached_key_ != key) {
-      const auto it = index_.find(key);
-      if (it == index_.end()) return std::nullopt;
-      cached_queue_ = &it->second;
-      cached_key_ = key;
+    KeyEntry* entry = find_key(index_key(source, tag));
+    if (entry == nullptr) return std::nullopt;
+    std::uint32_t slot = entry->head;
+    while (slot != kNoSlot && pending_[slot].source == kConsumedSource) {
+      slot = next_[slot];
     }
-    SlotQueue& queue = *cached_queue_;
-    if (queue.epoch != drain_epoch_) return std::nullopt;
-    while (queue.head < queue.slots.size() &&
-           pending_[queue.slots[queue.head]].source == kConsumedSource) {
-      ++queue.head;
-    }
-    if (queue.head == queue.slots.size()) {
-      queue.slots.clear();
-      queue.head = 0;
+    if (slot == kNoSlot) {
+      entry->head = kNoSlot;
       return std::nullopt;
     }
-    const std::size_t slot = queue.slots[queue.head++];
-    if (queue.head == queue.slots.size()) {
-      queue.slots.clear();
-      queue.head = 0;
-    }
+    // Unlink before consume(): a full drain inside it may free the table.
+    entry->head = next_[slot];
     return consume(slot);
   }
   for (std::size_t i = head_; i < pending_.size(); ++i) {
@@ -109,11 +97,46 @@ std::optional<Message> Mailbox::consume(std::size_t slot) {
 
 void Mailbox::reset_slab() {
   pending_.clear();  // keeps capacity — the slab is reused
+  next_.clear();
   head_ = 0;
-  ++drain_epoch_;  // lazily empties every slot queue
-  if (index_.size() > kIndexKeyCap) {
-    index_.clear();
-    cached_queue_ = nullptr;
+  keys_ = 0;
+  ++drain_epoch_;  // every table entry now reads as empty
+  if (table_.size() > kTableCap) std::vector<KeyEntry>().swap(table_);
+}
+
+Mailbox::KeyEntry* Mailbox::find_key(std::uint64_t key) {
+  if (table_.empty()) return nullptr;
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = bucket(key);; i = (i + 1) & mask) {
+    KeyEntry& entry = table_[i];
+    if (entry.epoch != drain_epoch_) return nullptr;
+    if (entry.key == key) return &entry;
+  }
+}
+
+Mailbox::KeyEntry& Mailbox::find_or_insert_key(std::uint64_t key) {
+  if (KeyEntry* entry = find_key(key)) return *entry;
+  if ((keys_ + 1) * 2 > table_.size()) grow_table();
+  ++keys_;
+  KeyEntry& entry = empty_entry_for(key);
+  entry = KeyEntry{key, drain_epoch_, kNoSlot, kNoSlot};
+  return entry;
+}
+
+Mailbox::KeyEntry& Mailbox::empty_entry_for(std::uint64_t key) {
+  const std::size_t mask = table_.size() - 1;
+  std::size_t i = bucket(key);
+  while (table_[i].epoch == drain_epoch_) i = (i + 1) & mask;
+  return table_[i];
+}
+
+void Mailbox::grow_table() {
+  std::vector<KeyEntry> old = std::move(table_);
+  const std::size_t size = old.empty() ? kMinTableSize : 2 * old.size();
+  table_.assign(size, KeyEntry{});
+  table_shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+  for (const KeyEntry& entry : old) {
+    if (entry.epoch == drain_epoch_) empty_entry_for(entry.key) = entry;
   }
 }
 

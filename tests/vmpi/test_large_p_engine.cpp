@@ -223,9 +223,9 @@ TEST(LargePEngine, MailboxWildcardAndIndexInterleave) {
   EXPECT_FALSE(box.take_match(kAnySource, kAnyTag).has_value());
 }
 
-// Tag churn past the index's key cap (fresh tag per step, as pipelined GE
-// mints) with a full drain between steps: the index must recycle without
-// ever matching a stale slot.
+// Tag churn (a fresh tag per step, as pipelined GE mints) with a full drain
+// between steps: each drain empties the index by bumping its epoch, and the
+// recycled entries must never match a stale slot.
 TEST(LargePEngine, MailboxIndexSurvivesKeyChurnAndDrains) {
   des::Scheduler scheduler;
   Mailbox box(scheduler);
@@ -244,26 +244,25 @@ TEST(LargePEngine, MailboxIndexSurvivesKeyChurnAndDrains) {
   }
 }
 
-// The last-used key's queue is cached across post/take; clearing the index
-// after a churn past its key cap must drop that cache too. After the clear,
-// a post to the previously cached key must land in the live index, where a
-// take reached through a different key's lookup still finds it.
+// 101 keys between two drains grow the index past its size cap, so the
+// drain frees the table outright. Posts after that must land in a fresh
+// table, where takes of each key still find their own message.
 TEST(LargePEngine, MailboxMatchesAfterTheIndexClears) {
   des::Scheduler scheduler;
   Mailbox box(scheduler);
   for (int tag = 0; tag < 100; ++tag) box.post(make_message(3, tag, tag));
-  box.post(make_message(0, 7, -1.0));  // cached key (0, 7)
+  box.post(make_message(0, 7, -1.0));
   for (int tag = 99; tag >= 0; --tag) {
     auto m = box.take_match(3, tag);
     ASSERT_TRUE(m.has_value());
     EXPECT_DOUBLE_EQ(m->payload.scalar(), tag);
   }
-  auto last = box.take_match(0, 7);  // full drain: the index clears
+  auto last = box.take_match(0, 7);  // full drain: the table is freed
   ASSERT_TRUE(last.has_value());
   EXPECT_DOUBLE_EQ(last->payload.scalar(), -1.0);
 
   box.post(make_message(0, 7, 1.0));
-  box.post(make_message(0, 8, 2.0));  // moves the cache off (0, 7)
+  box.post(make_message(0, 8, 2.0));
   auto again = box.take_match(0, 7);
   ASSERT_TRUE(again.has_value());
   EXPECT_DOUBLE_EQ(again->payload.scalar(), 1.0);

@@ -188,6 +188,22 @@ TEST(Partitioned, EventsProcessedSumsThePartitionSchedulers) {
   EXPECT_GT(machine.events_processed(), 0u);
 }
 
+// The window count is host telemetry, but not host-timed: the windows are
+// a pure function of the model and the partition count.
+TEST(Partitioned, WindowCountIsReportedAndRepeatable) {
+  const auto windows = [](int sim_threads) {
+    auto machine = Machine::switched(node_per_rank(8), fast_params());
+    machine.set_sim_threads(sim_threads);
+    (void)machine.run(mixed_program());
+    EXPECT_LE(machine.conservative_windows(), machine.events_processed());
+    return machine.conservative_windows();
+  };
+  EXPECT_EQ(windows(1), 0u);  // sequential: no windows
+  const std::uint64_t four = windows(4);
+  EXPECT_GT(four, 0u);
+  EXPECT_EQ(windows(4), four);
+}
+
 TEST(Partitioned, TreeCollectivesBitIdenticalAtScale) {
   const auto run_tree = [](int sim_threads) {
     auto machine = Machine::switched(node_per_rank(32), fast_params(),
