@@ -47,15 +47,14 @@ void BM_CriticalPath(benchmark::State& state) {
   obs::SpanStore store;
   const int compute = store.intern("compute");
   const int recv = store.intern("recv.wait");
-  std::vector<obs::PathMessage> messages;
+  obs::MessageLog messages;
   double t = 0.0;
   for (int round = 0; round < rounds; ++round) {
     const int src = round % 2;
     const int dst = 1 - src;
     store.record(src, compute, t, t + 0.1);
     store.record(dst, recv, t, t + 0.2, /*peer=*/src, /*tag=*/1);
-    messages.push_back(
-        obs::PathMessage{src, dst, 1, 8.0, t + 0.1, t + 0.2});
+    messages.record(obs::PathMessage{src, dst, 1, 8.0, t + 0.1, t + 0.2});
     t += 0.2;
   }
   for (auto _ : state) {

@@ -66,7 +66,10 @@ class LadderEventQueue {
 
   /// Insert an event. The caller (the scheduler) guarantees that `e.time` is
   /// never behind the last popped time, which is what keeps insertions into
-  /// the currently-draining bucket order-safe.
+  /// the currently-draining bucket order-safe. It may still be before the
+  /// epoch start: the scheduler's front slot can hold an event earlier than
+  /// the epoch, and an event between the two then belongs at the head of
+  /// the draining bucket, ahead of everything the ladder holds.
   void push(const Event& e) {
     ++count_;
     if (telemetry_ != nullptr) ++telemetry_->pushes;
@@ -75,9 +78,15 @@ class LadderEventQueue {
       far_.push_back(e);
       return;
     }
-    std::size_t idx = static_cast<std::size_t>(
-        (e.time - epoch_start_) * inv_width_);
-    if (idx >= kBuckets) idx = kBuckets - 1;
+    // Only a positive offset may be converted: a negative double cast to
+    // size_t is undefined (and on x86-64 lands in the last bucket).
+    const double offset = (e.time - epoch_start_) * inv_width_;
+    std::size_t idx = 0;
+    if (offset > 0.0) {
+      idx = offset < static_cast<double>(kBuckets)
+                ? static_cast<std::size_t>(offset)
+                : kBuckets - 1;
+    }
     if (idx < cur_) idx = cur_;  // float-edge clamp; see file comment
     auto& bucket = buckets_[idx];
     if (idx == cur_) {

@@ -35,7 +35,8 @@ std::size_t frame_pool_live();
 /// resets it at launch so a profiled run reports its own peak.
 std::size_t frame_pool_live_peak();
 
-/// Restart the high-water mark at the current live count.
+/// Restart the high-water mark at the current live count, and trim every
+/// freelist to what the pool may park under the new mark.
 void frame_pool_reset_live_peak();
 
 }  // namespace hetscale::des::detail

@@ -14,6 +14,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "hetscale/des/event_queue.hpp"
@@ -82,9 +83,11 @@ class Scheduler {
   /// re-thrown by run().
   void spawn(Task<void> task);
 
-  /// Run until the event queue drains. Throws if any root process terminated
-  /// with an exception (the first one, in completion order) or if any root is
-  /// still suspended when the queue empties (deadlock in the model).
+  /// Run until the event queue drains or a root process fails. A failed
+  /// root stops the run once the events of its failure's instant have run
+  /// (the surviving processes stay suspended), and the exception of the
+  /// first root in spawn order that failed then is re-thrown; otherwise throws
+  /// DeadlockError if any root is still suspended when the queue empties.
   void run();
 
   /// Conservative-parallel building block: run every pending event with
@@ -92,7 +95,9 @@ class Scheduler {
   /// executed event, never advancing to `end` itself). Root liveness is NOT
   /// checked here — a partition legitimately idles between windows while
   /// its ranks wait on cross-partition messages; call check_roots() once
-  /// the coordinator decides the whole simulation is quiescent.
+  /// the coordinator decides the whole simulation is quiescent. A root
+  /// that fails stops the window as it stops run(), and the exception is
+  /// re-thrown with now() left at the failure's instant.
   void run_window(SimTime end);
 
   /// Virtual time of the next pending event, or +infinity when the queue is
@@ -100,9 +105,9 @@ class Scheduler {
   /// safe window bound.
   SimTime next_event_time() const;
 
-  /// The termination checks factored out of run(): throws DeadlockError if
-  /// any root is still suspended, and rethrows the first captured root
-  /// exception (in spawn order) otherwise.
+  /// The termination checks factored out of run(): rethrows the first
+  /// captured root exception (in spawn order), and otherwise throws
+  /// DeadlockError if any root is still suspended.
   void check_roots();
 
   /// Awaitable: suspend for `dt >= 0` seconds of virtual time.
@@ -130,13 +135,22 @@ class Scheduler {
 
   using RootHandle = std::coroutine_handle<Task<void>::promise_type>;
 
+  friend void detail::note_root_failure() noexcept;
+
   /// Slow path of schedule_at: an event arrives while another is pending.
   void schedule_overlapping(const Event& event);
+
+  /// Rethrow the first failed root's exception (spawn order), if any.
+  /// Every failed root failed at the same instant, stop_after_.
+  void rethrow_failed_root();
 
   SimTime now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t max_queue_depth_ = 0;
+  bool root_failed_ = false;  ///< a root process exited with an exception
+  /// Events later than this do not run: the instant a root failed at.
+  SimTime stop_after_ = std::numeric_limits<SimTime>::infinity();
   Event front_{};           ///< next event to run; empty iff handle is null
   LadderEventQueue queue_;  ///< everything behind the front slot
   std::vector<RootHandle> roots_;

@@ -23,6 +23,10 @@ class Task;
 
 namespace detail {
 
+/// Flag the scheduler running on this thread, if any, that one of its root
+/// processes failed (defined in scheduler.cpp).
+void note_root_failure() noexcept;
+
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
@@ -50,7 +54,12 @@ struct PromiseBase {
   };
 
   FinalAwaiter final_suspend() noexcept { return {}; }
-  void unhandled_exception() noexcept { exception = std::current_exception(); }
+  void unhandled_exception() noexcept {
+    exception = std::current_exception();
+    // An awaited task hands its exception to the awaiter; a task nobody
+    // awaits is a root process, and its failure ends the run.
+    if (!continuation) note_root_failure();
+  }
 };
 
 }  // namespace detail

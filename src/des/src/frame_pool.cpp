@@ -1,5 +1,6 @@
 #include "hetscale/des/frame_pool.hpp"
 
+#include <algorithm>
 #include <new>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -25,11 +26,17 @@ namespace {
 
 // Frames are rounded up to 64-byte slots; one freelist per slot count.
 // Anything larger than 2 KiB (rare: deeply-inlined collectives) bypasses the
-// pool. Bins are capped so a pathological burst cannot pin memory forever.
+// pool. A bin parks at most as many frames as the thread's current run had
+// live at once (at least kMinParkedPerBin): a p-rank simulation keeps about
+// p frames of each hot size suspended, and a fixed cap below that would send
+// the surplus of every collective round back to the heap. Parking adds no
+// memory of its own: a bin only ever holds frames it once had live at the
+// same time, and a new run (frame_pool_reset_live_peak) trims what an
+// earlier, larger run left parked.
 constexpr std::size_t kGranularity = 64;
 constexpr std::size_t kBins = 32;
 constexpr std::size_t kMaxPooledBytes = kGranularity * kBins;
-constexpr std::size_t kMaxParkedPerBin = 1024;
+constexpr std::size_t kMinParkedPerBin = 1024;
 
 struct FreeNode {
   FreeNode* next;
@@ -97,7 +104,7 @@ void frame_free(void* p, std::size_t size) noexcept {
     return;
   }
   Bin& bin = t_pool.bins[bin_index(size)];
-  if (bin.count >= kMaxParkedPerBin) {
+  if (bin.count >= kMinParkedPerBin && bin.count >= t_live_peak) {
     ::operator delete(p);
     return;
   }
@@ -118,6 +125,18 @@ std::size_t frame_pool_live() { return t_live; }
 
 std::size_t frame_pool_live_peak() { return t_live_peak; }
 
-void frame_pool_reset_live_peak() { t_live_peak = t_live; }
+void frame_pool_reset_live_peak() {
+  t_live_peak = t_live;
+  const std::size_t keep = std::max(kMinParkedPerBin, t_live_peak);
+  for (Bin& bin : t_pool.bins) {
+    while (bin.count > keep) {
+      FreeNode* node = bin.head;
+      HETSCALE_UNPOISON(node, sizeof(FreeNode));
+      bin.head = node->next;
+      --bin.count;
+      ::operator delete(node);
+    }
+  }
+}
 
 }  // namespace hetscale::des::detail

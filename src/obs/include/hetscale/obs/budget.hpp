@@ -16,6 +16,11 @@
 // and the five buckets partition [0, elapsed]: they sum back to elapsed_s
 // up to floating-point associativity — exactly, when span bounds are
 // dyadic rationals.
+//
+// The sweep merges the store's per-lane buffers (each already in the
+// lane's time order) instead of sorting the run's edges; every bucket
+// still accumulates its segments in time order, so the sums are the ones
+// a full sort would give, bit for bit.
 #pragma once
 
 #include <compare>

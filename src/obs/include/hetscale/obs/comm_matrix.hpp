@@ -8,18 +8,19 @@
 // scatter/ring legs, group collectives, ...) so a hotspot can be tied to
 // the algorithm step that produced it, not just the rank pair.
 //
-// Determinism: cells live in a std::map keyed by (src, dst, phase), so
-// cells() returns them in one canonical order regardless of the recording
-// interleaving; all values are virtual-time or counts. The matrix has no
+// Determinism: every record adds into its cell at once, in recording
+// order, and cells() returns the cells in one canonical (src, dst, phase)
+// order regardless of the recording interleaving; all values are
+// virtual-time or counts. Recording is on the traced hot path (every send
+// and every receive), so the cells sit in a dense vector found through an
+// open-addressing index, and only cells() orders them. The matrix has no
 // locks — each vmpi::Machine owns one and records from its single
 // simulation thread.
 #pragma once
 
 #include <compare>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 namespace hetscale::obs {
@@ -85,9 +86,13 @@ class CommMatrix {
   CommMatrix& operator+=(const CommMatrix& other);
 
  private:
-  CommCell& cell(int src, int dst, CommPhase phase);
+  CommCell& cell(int src, int dst, int phase);
+  void grow_index();
 
-  std::map<std::tuple<int, int, int>, CommCell> cells_;
+  std::vector<CommCell> cells_;  ///< first-recorded order
+  /// Open-addressing index into cells_ (linear probing, power-of-two
+  /// size, at most half full); kEmpty marks a free slot.
+  std::vector<std::uint32_t> index_;
 };
 
 }  // namespace hetscale::obs

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,8 +25,7 @@ namespace hetscale::obs {
 class SpanStore;
 
 /// One delivered message, as the path walker needs it (obs sits below
-/// vmpi in the build, so vmpi::TraceRecorder converts its messages into
-/// this shape).
+/// vmpi in the build; vmpi::TraceRecorder records messages in this shape).
 struct PathMessage {
   int source = 0;
   int destination = 0;
@@ -33,6 +33,36 @@ struct PathMessage {
   double bytes = 0.0;
   double depart = 0.0;
   double arrive = 0.0;
+};
+
+/// A run's delivered messages, filed per destination lane in recording
+/// order — the lane whose recv.wait spans the walker matches them
+/// against.
+class MessageLog {
+ public:
+  /// File one message (requires non-negative endpoints).
+  void record(const PathMessage& message);
+
+  /// One past the highest destination lane recorded into.
+  int lane_count() const { return lane_count_; }
+  /// Messages delivered to `lane`, in recording order.
+  const std::vector<PathMessage>& inbox(int lane) const;
+
+  /// Every message in recording order, gathered from the inboxes.
+  std::vector<PathMessage> messages() const;
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  struct Lane {
+    std::vector<PathMessage> messages;
+    std::vector<std::uint32_t> order;  ///< log-wide recording position
+  };
+
+  std::vector<Lane> lanes_;
+  int lane_count_ = 0;
+  std::size_t size_ = 0;
 };
 
 enum class PathSegmentKind : int { kCompute = 0, kComm, kWait, kFault };
@@ -71,8 +101,7 @@ struct CriticalPath {
 /// Walk the longest dependency chain ending at `elapsed` and attribute it.
 /// `messages` must hold the run's delivered messages (may be empty: the
 /// walk then attributes blocking locally as wait time).
-CriticalPath critical_path(const SpanStore& store,
-                           const std::vector<PathMessage>& messages,
+CriticalPath critical_path(const SpanStore& store, const MessageLog& messages,
                            double elapsed);
 
 }  // namespace hetscale::obs

@@ -1,9 +1,10 @@
 #include "hetscale/obs/critical_path.hpp"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "hetscale/obs/span.hpp"
 #include "hetscale/support/error.hpp"
@@ -18,6 +19,40 @@ const char* path_segment_kind_name(PathSegmentKind kind) {
     case PathSegmentKind::kFault: return "fault";
   }
   throw ModelError("unknown path segment kind");
+}
+
+void MessageLog::record(const PathMessage& message) {
+  HETSCALE_REQUIRE(message.source >= 0 && message.destination >= 0,
+                   "message endpoints must be non-negative lanes");
+  HETSCALE_REQUIRE(message.destination < std::numeric_limits<int>::max(),
+                   "message destination out of range");
+  HETSCALE_CHECK(size_ < std::numeric_limits<std::uint32_t>::max(),
+                 "message log is full");
+  const auto lane = static_cast<std::size_t>(message.destination);
+  if (message.destination >= lane_count_) {
+    lanes_.resize(lane + 1);
+    lane_count_ = message.destination + 1;
+  }
+  lanes_[lane].messages.push_back(message);
+  lanes_[lane].order.push_back(static_cast<std::uint32_t>(size_++));
+}
+
+const std::vector<PathMessage>& MessageLog::inbox(int lane) const {
+  HETSCALE_REQUIRE(lane >= 0 && lane < lane_count_,
+                   "message lane out of range");
+  return lanes_[static_cast<std::size_t>(lane)].messages;
+}
+
+std::vector<PathMessage> MessageLog::messages() const {
+  // The recording positions are a permutation of 0 .. size_ - 1.
+  std::vector<PathMessage> out(size_);
+  for (int l = 0; l < lane_count_; ++l) {
+    const Lane& lane = lanes_[static_cast<std::size_t>(l)];
+    for (std::size_t i = 0; i < lane.messages.size(); ++i) {
+      out[lane.order[i]] = lane.messages[i];
+    }
+  }
+  return out;
 }
 
 namespace {
@@ -41,61 +76,174 @@ SpanClass classify(const SpanStore& store, int name_id) {
   throw ModelError("unknown span category");
 }
 
+bool walk_before(const Span* a, const Span* b) {
+  return std::tie(a->begin, a->end) < std::tie(b->begin, b->end);
+}
+
+/// The first span of [lo, hi) beginning at or after `cursor`, given the
+/// span begins ascend and every span from hi on begins at or after it:
+/// gallop left from hi, then bisect the bracket.
+const Span* first_at_or_after(const Span* lo, const Span* hi, double cursor) {
+  std::ptrdiff_t step = 1;
+  const Span* bound = hi;
+  while (bound != lo && !((bound - 1)->begin < cursor)) {
+    hi = bound - 1;
+    bound = hi - lo > step ? hi - step : lo;
+    step *= 2;
+  }
+  return std::lower_bound(bound, hi, cursor, [](const Span& s, double c) {
+    return s.begin < c;
+  });
+}
+
+/// The messages of one destination lane grouped by source (in recording
+/// order, then re-ordered by (arrive, depart) where a group is not), built
+/// the first time the walk matches a receive on the lane.
+class InboxIndex {
+ public:
+  /// The group of messages from `source`, as indices into the inbox.
+  std::pair<const std::uint32_t*, const std::uint32_t*> from(
+      const std::vector<PathMessage>& inbox, int source) {
+    if (!built_) build(inbox);
+    const auto group = std::lower_bound(
+        groups_.begin(), groups_.end(), source,
+        [](const Group& g, int s) { return g.source < s; });
+    if (group == groups_.end() || group->source != source) return {};
+    return {ids_.data() + group->begin, ids_.data() + group->end};
+  }
+
+ private:
+  struct Group {
+    int source;
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+
+  void build(const std::vector<PathMessage>& inbox) {
+    built_ = true;
+    int max_source = -1;
+    for (const PathMessage& m : inbox) {
+      max_source = std::max(max_source, m.source);
+    }
+    // Counting sort by source: stable, so each group keeps recording order.
+    std::vector<std::uint32_t> count(
+        static_cast<std::size_t>(max_source) + 2, 0);
+    for (const PathMessage& m : inbox) {
+      ++count[static_cast<std::size_t>(m.source) + 1];
+    }
+    for (std::size_t s = 1; s < count.size(); ++s) count[s] += count[s - 1];
+    for (int s = 0; s <= max_source; ++s) {
+      const auto i = static_cast<std::size_t>(s);
+      if (count[i] != count[i + 1]) {
+        groups_.push_back({s, count[i], count[i + 1]});
+      }
+    }
+    ids_.resize(inbox.size());
+    for (std::size_t i = 0; i < inbox.size(); ++i) {
+      ids_[count[static_cast<std::size_t>(inbox[i].source)]++] =
+          static_cast<std::uint32_t>(i);
+    }
+    // A source's messages usually arrive in the order it sent them; a
+    // retried or overtaken one puts its group in (arrive, depart) order
+    // here. Messages equal in both are interchangeable to the walk.
+    const auto arrives_before = [&inbox](std::uint32_t a, std::uint32_t b) {
+      return std::tie(inbox[a].arrive, inbox[a].depart) <
+             std::tie(inbox[b].arrive, inbox[b].depart);
+    };
+    for (const Group& g : groups_) {
+      const auto first = ids_.begin() + g.begin;
+      const auto last = ids_.begin() + g.end;
+      if (!std::is_sorted(first, last, arrives_before)) {
+        std::sort(first, last, arrives_before);
+      }
+    }
+  }
+
+  bool built_ = false;
+  std::vector<std::uint32_t> ids_;
+  std::vector<Group> groups_;  ///< ascending source
+};
+
 }  // namespace
 
-CriticalPath critical_path(const SpanStore& store,
-                           const std::vector<PathMessage>& messages,
+CriticalPath critical_path(const SpanStore& store, const MessageLog& messages,
                            double elapsed) {
   HETSCALE_REQUIRE(elapsed >= 0.0, "elapsed must be non-negative");
   CriticalPath path;
   path.elapsed_s = elapsed;
   if (elapsed <= 0.0) return path;
 
-  // Closed leaf spans, grouped per lane and sorted by (begin, end): the
-  // walk repeatedly needs "the last span on this lane beginning before the
-  // cursor".
-  std::map<int, SpanClass> classes;
-  std::map<int, std::vector<const Span*>> lanes;
-  for (const Span& span : store.spans()) {
-    if (span.end < span.begin) continue;  // left open (deadlocked run)
-    auto it = classes.find(span.name_id);
-    if (it == classes.end()) {
-      it = classes.emplace(span.name_id, classify(store, span.name_id)).first;
-    }
-    if (it->second == SpanClass::kSkip) continue;
-    lanes[span.lane].push_back(&span);
-  }
-  for (auto& [lane, spans] : lanes) {
-    std::sort(spans.begin(), spans.end(), [](const Span* a, const Span* b) {
-      return std::tie(a->begin, a->end) < std::tie(b->begin, b->end);
-    });
+  std::vector<SpanClass> classes;
+  classes.reserve(static_cast<std::size_t>(store.name_count()));
+  for (int id = 0; id < store.name_count(); ++id) {
+    classes.push_back(classify(store, id));
   }
 
-  // Delivered messages indexed by (destination, source, tag), sorted by
-  // arrival — how a recv.wait span finds the message that satisfied it.
-  std::map<std::tuple<int, int, int>, std::vector<const PathMessage*>> inbox;
-  for (const PathMessage& m : messages) {
-    inbox[std::make_tuple(m.destination, m.source, m.tag)].push_back(&m);
-  }
-  for (auto& [key, box] : inbox) {
-    std::sort(box.begin(), box.end(),
-              [](const PathMessage* a, const PathMessage* b) {
-                return std::tie(a->arrive, a->depart) <
-                       std::tie(b->arrive, b->depart);
-              });
-  }
-
+  // The walk repeatedly needs "the last closed leaf span on this lane
+  // beginning before the cursor", in (begin, end) order. A lane records its
+  // spans in that order already — a nesting span is opened before anything
+  // it covers — so the walk searches the lane buffer itself and steps over
+  // the spans it skips. Only a lane with spans recorded ahead of time
+  // (fault charges) or two leaf spans over one interval gets a copy of its
+  // leaf spans sorted by (begin, end).
+  const int lane_count = store.lane_count();
+  const auto walked = [&classes](const Span& span) {
+    return span.end >= span.begin &&  // not left open (deadlocked run)
+           classes[static_cast<std::size_t>(span.name_id)] != SpanClass::kSkip;
+  };
+  std::vector<const Span*> view_first(static_cast<std::size_t>(lane_count));
+  std::vector<const Span*> view_last(static_cast<std::size_t>(lane_count));
+  std::vector<std::vector<Span>> reordered;
   // The run ends when its last leaf span does; walk backwards from there.
   int lane = -1;
   double latest_end = -1.0;
-  for (const auto& [l, spans] : lanes) {
-    for (const Span* s : spans) {
-      if (s->end > latest_end) {
-        latest_end = s->end;
+  for (int l = 0; l < lane_count; ++l) {
+    const std::vector<Span>& spans = store.lane(l);
+    bool ordered = true;
+    const Span* prev = nullptr;      // previous span of the lane
+    const Span* prev_leaf = nullptr;  // previous walked span of the lane
+    for (const Span& span : spans) {
+      ordered = ordered && (prev == nullptr || prev->begin <= span.begin);
+      prev = &span;
+      if (!walked(span)) continue;
+      if (prev_leaf != nullptr) {
+        // Equal keys stay in order only when zero-length: the walk treats
+        // every zero-length span at an instant alike (it just moves the
+        // cursor there), whereas which of two equal positive spans comes
+        // last decides the path, and that is the sort's call.
+        ordered = ordered && (walk_before(prev_leaf, &span) ||
+                              (!walk_before(&span, prev_leaf) &&
+                               prev_leaf->begin == prev_leaf->end));
+      }
+      prev_leaf = &span;
+      if (span.end > latest_end) {
+        latest_end = span.end;
         lane = l;
       }
     }
+    const auto slot = static_cast<std::size_t>(l);
+    if (ordered) {
+      view_first[slot] = spans.data();
+      view_last[slot] = spans.data() + spans.size();
+      continue;
+    }
+    std::vector<const Span*> leaves;
+    for (const Span& span : spans) {
+      if (walked(span)) leaves.push_back(&span);
+    }
+    std::sort(leaves.begin(), leaves.end(), walk_before);
+    std::vector<Span>& copy = reordered.emplace_back();
+    copy.reserve(leaves.size());
+    for (const Span* span : leaves) copy.push_back(*span);
+    view_first[slot] = copy.data();
+    view_last[slot] = copy.data() + copy.size();
   }
+  // The cursor only moves back in time, so on every lane the answer only
+  // moves left: each search starts where the lane's last one ended.
+  std::vector<const Span*> hint = view_last;
+
+  std::vector<InboxIndex> inboxes(
+      static_cast<std::size_t>(messages.lane_count()));
 
   std::vector<PathSegment> reversed;
   auto emit = [&](int l, PathSegmentKind kind, int peer, double begin,
@@ -114,18 +262,21 @@ CriticalPath critical_path(const SpanStore& store,
   double cursor = elapsed;
   // Every step strictly decreases the cursor past a span begin or a message
   // departure, so this bound is generous; it is a backstop, not a budget.
-  const std::size_t max_steps = store.spans().size() + messages.size() + 64;
+  const std::size_t max_steps = store.size() + messages.size() + 64;
   std::size_t steps = 0;
   while (cursor > 0.0 && lane >= 0) {
     if (++steps > max_steps) break;
     const Span* span = nullptr;
-    const auto it = lanes.find(lane);
-    if (it != lanes.end()) {
-      const auto& spans = it->second;
-      const auto pos = std::lower_bound(
-          spans.begin(), spans.end(), cursor,
-          [](const Span* s, double c) { return s->begin < c; });
-      if (pos != spans.begin()) span = *(pos - 1);
+    if (lane < lane_count) {
+      const Span* lo = view_first[static_cast<std::size_t>(lane)];
+      const Span*& pos = hint[static_cast<std::size_t>(lane)];
+      pos = first_at_or_after(lo, pos, cursor);
+      for (const Span* at = pos; at != lo;) {
+        if (walked(*--at)) {
+          span = at;
+          break;
+        }
+      }
     }
     if (span == nullptr) break;  // nothing earlier on this lane
     if (span->end < cursor) {
@@ -135,7 +286,7 @@ CriticalPath critical_path(const SpanStore& store,
       cursor = span->end;
       if (cursor <= 0.0) break;
     }
-    switch (classes.at(span->name_id)) {
+    switch (classes[static_cast<std::size_t>(span->name_id)]) {
       case SpanClass::kCompute:
         emit(lane, PathSegmentKind::kCompute, -1, span->begin, cursor);
         cursor = span->begin;
@@ -150,21 +301,24 @@ CriticalPath critical_path(const SpanStore& store,
         break;
       case SpanClass::kRecvWait: {
         // Find the message that satisfied this receive: same endpoints and
-        // tag, arriving inside the blocked interval. The receive resumed at
-        // the arrival instant, so when the wire gated it, arrive == end.
+        // tag, arriving inside the blocked interval, latest (arrive,
+        // depart) first. The receive resumed at the arrival instant, so
+        // when the wire gated it, arrive == end.
         const PathMessage* found = nullptr;
-        const auto box =
-            inbox.find(std::make_tuple(lane, span->peer, span->tag));
-        if (box != inbox.end()) {
-          const auto& msgs = box->second;
-          auto at = std::upper_bound(
-              msgs.begin(), msgs.end(), span->end,
-              [](double c, const PathMessage* m) { return c < m->arrive; });
-          while (at != msgs.begin()) {
-            --at;
-            if ((*at)->arrive <= span->begin) break;
-            if ((*at)->depart < cursor) {
-              found = *at;
+        if (lane < messages.lane_count() && span->peer >= 0) {
+          const std::vector<PathMessage>& inbox = messages.inbox(lane);
+          const auto [lo, hi] =
+              inboxes[static_cast<std::size_t>(lane)].from(inbox, span->peer);
+          const std::uint32_t* at = std::upper_bound(
+              lo, hi, span->end, [&inbox](double c, std::uint32_t i) {
+                return c < inbox[i].arrive;
+              });
+          while (at != lo) {
+            const PathMessage& m = inbox[*--at];
+            if (m.arrive <= span->begin) break;
+            if (m.tag != span->tag) continue;
+            if (m.depart < cursor) {
+              found = &m;
               break;
             }
           }
@@ -186,7 +340,7 @@ CriticalPath critical_path(const SpanStore& store,
         break;
       }
       case SpanClass::kSkip:
-        // Unreachable: skipped spans never enter the lane lists.
+        // Unreachable: skipped spans never enter the walk lists.
         cursor = span->begin;
         break;
     }

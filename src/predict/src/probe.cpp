@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "hetscale/marked/suite.hpp"
 #include "hetscale/support/error.hpp"
@@ -47,24 +48,28 @@ double measure_bcast_time(const ProbeConfig& config, int ranks,
   HETSCALE_REQUIRE(ranks >= 2, "bcast probe needs at least 2 ranks");
   auto machine = scal::make_machine(probe_cluster(config.node, ranks),
                                     config.network, config.params);
-  auto latest = std::make_shared<double>(0.0);
-  machine.run([bytes, latest](Comm& comm) -> Task<void> {
+  // One slot per rank: with --sim-threads > 1 the ranks finish on
+  // different threads, so they must not fold into one shared value.
+  auto finish = std::make_shared<std::vector<double>>(
+      static_cast<std::size_t>(ranks), 0.0);
+  machine.run([bytes, finish](Comm& comm) -> Task<void> {
     co_await comm.bcast(0, bytes, {});
-    *latest = std::max(*latest, comm.now());
+    (*finish)[static_cast<std::size_t>(comm.rank())] = comm.now();
   });
-  return *latest;
+  return *std::max_element(finish->begin(), finish->end());
 }
 
 double measure_barrier_time(const ProbeConfig& config, int ranks) {
   HETSCALE_REQUIRE(ranks >= 2, "barrier probe needs at least 2 ranks");
   auto machine = scal::make_machine(probe_cluster(config.node, ranks),
                                     config.network, config.params);
-  auto latest = std::make_shared<double>(0.0);
-  machine.run([latest](Comm& comm) -> Task<void> {
+  auto finish = std::make_shared<std::vector<double>>(
+      static_cast<std::size_t>(ranks), 0.0);
+  machine.run([finish](Comm& comm) -> Task<void> {
     co_await comm.barrier();
-    *latest = std::max(*latest, comm.now());
+    (*finish)[static_cast<std::size_t>(comm.rank())] = comm.now();
   });
-  return *latest;
+  return *std::max_element(finish->begin(), finish->end());
 }
 
 CommModel probe_comm_model(const ProbeConfig& config) {

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -35,14 +34,9 @@ struct TraceInterval {
   double bytes = 0.0;  ///< modeled size for kSend/kRecv
 };
 
-struct TraceMessage {
-  int source = 0;
-  int destination = 0;
-  int tag = 0;
-  double bytes = 0.0;
-  des::SimTime depart = 0.0;
-  des::SimTime arrive = 0.0;
-};
+/// A delivered message: endpoints, tag, modeled size, departure and
+/// arrival (virtual time) — the critical-path walker's shape.
+using TraceMessage = obs::PathMessage;
 
 class TraceRecorder {
  public:
@@ -52,10 +46,15 @@ class TraceRecorder {
   void record_message(TraceMessage message);
 
   /// The point-to-point and compute intervals, materialized from the span
-  /// store (structural spans — barriers, fault charges — are not leaf
-  /// intervals and are excluded; their constituent sends/recvs are listed).
+  /// store in recording order (structural spans — barriers, fault charges
+  /// — are not leaf intervals and are excluded; their constituent
+  /// sends/recvs are listed).
   std::vector<TraceInterval> intervals() const;
-  const std::vector<TraceMessage>& messages() const { return messages_; }
+  /// The messages in recording order.
+  std::vector<TraceMessage> messages() const { return messages_.messages(); }
+  /// The messages filed per destination rank (what obs::critical_path
+  /// walks).
+  const obs::MessageLog& message_log() const { return messages_; }
 
   /// The underlying span store (all spans, including barrier/fault ones).
   obs::SpanStore& spans() { return spans_; }
@@ -77,10 +76,12 @@ class TraceRecorder {
   /// independent, so interleaved coroutines cannot clobber each other.
   void set_lane_phase(int lane, obs::CommPhase phase);
   void clear_lane_phase(int lane);
-  obs::CommPhase lane_phase_or(int lane, obs::CommPhase fallback) const;
-
-  /// The messages converted to the critical-path walker's shape.
-  std::vector<obs::PathMessage> path_messages() const;
+  obs::CommPhase lane_phase_or(int lane, obs::CommPhase fallback) const {
+    const auto slot = static_cast<std::size_t>(lane);
+    return slot < lane_phase_.size() && lane_phase_[slot] != kNoPhase
+               ? static_cast<obs::CommPhase>(lane_phase_[slot])
+               : fallback;
+  }
 
   /// Chrome trace-event JSON ("X" duration events per rank lane, "s"/"f"
   /// flow pairs per message, plus one "C" counter row per CommMatrix cell
@@ -93,10 +94,12 @@ class TraceRecorder {
   std::string utilization_table(des::SimTime horizon) const;
 
  private:
+  static constexpr int kNoPhase = -1;
+
   obs::SpanStore spans_;
-  std::vector<TraceMessage> messages_;
+  obs::MessageLog messages_;
   obs::CommMatrix comm_;
-  std::map<int, obs::CommPhase> lane_phase_;
+  std::vector<int> lane_phase_;  ///< per lane: a CommPhase, or kNoPhase
   int compute_id_;
   int send_id_;
   int recv_id_;

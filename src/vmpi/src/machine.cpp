@@ -298,7 +298,7 @@ RunResult Machine::run(const Program& program) {
     profile.frame_live_peak = des::detail::frame_pool_live_peak();
     profile.comm_cells = tracer_->comm().cells();
     const obs::CriticalPath path = obs::critical_path(
-        tracer_->spans(), tracer_->path_messages(), result.elapsed);
+        tracer_->spans(), tracer_->message_log(), result.elapsed);
     profile.critical_path = obs::CriticalPathSummary{
         path.compute_s, path.comm_s, path.wait_s, path.fault_s};
     profile.des_queue.pushes = queue_telemetry_.pushes;
@@ -396,14 +396,19 @@ RunResult Machine::run_partitioned(const Program& program, int partitions) {
   partitioned_ = false;
   network_->end_partitioned();
 
-  // Surface errors the way the sequential path would: a real exception from
-  // a rank program wins (lowest partition first — partitions are rank-
-  // ordered, so this matches sequential root order); otherwise any
-  // partition-local deadlock gets the machine-wide diagnosis.
+  // Surface errors the way the sequential path would. A real exception from
+  // a rank program wins over the deadlocks a stopped run leaves: the one
+  // earliest in virtual time (a failed partition's clock stays at its
+  // failure's instant), the lowest partition among equals. Partitions are
+  // rank-ordered and each reports its lowest failed rank, so this is the
+  // earliest (time, rank) failure, the one the sequential run reports.
+  // Otherwise any partition-local deadlock gets the machine-wide diagnosis.
   std::exception_ptr first_error;
+  des::SimTime first_error_at = 0.0;
   bool deadlocked = false;
   std::string deadlock_what;
-  for (const std::exception_ptr& error : run.errors) {
+  for (std::size_t p = 0; p < run.errors.size(); ++p) {
+    const std::exception_ptr& error = run.errors[p];
     if (!error) continue;
     try {
       std::rethrow_exception(error);
@@ -413,7 +418,11 @@ RunResult Machine::run_partitioned(const Program& program, int partitions) {
         deadlock_what = deadlock.what();
       }
     } catch (...) {
-      if (!first_error) first_error = error;
+      const des::SimTime at = partition_schedulers_[p]->now();
+      if (!first_error || at < first_error_at) {
+        first_error = error;
+        first_error_at = at;
+      }
     }
   }
   if (first_error) std::rethrow_exception(first_error);

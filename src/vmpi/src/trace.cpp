@@ -39,34 +39,24 @@ void TraceRecorder::record_interval(TraceInterval interval) {
 void TraceRecorder::record_message(TraceMessage message) {
   HETSCALE_REQUIRE(message.arrive >= message.depart,
                    "message must not arrive before departing");
-  messages_.push_back(message);
+  messages_.record(message);
 }
 
 void TraceRecorder::set_lane_phase(int lane, obs::CommPhase phase) {
-  lane_phase_[lane] = phase;
+  HETSCALE_REQUIRE(lane >= 0, "lanes are non-negative ranks");
+  const auto slot = static_cast<std::size_t>(lane);
+  if (slot >= lane_phase_.size()) lane_phase_.resize(slot + 1, kNoPhase);
+  lane_phase_[slot] = static_cast<int>(phase);
 }
 
-void TraceRecorder::clear_lane_phase(int lane) { lane_phase_.erase(lane); }
-
-obs::CommPhase TraceRecorder::lane_phase_or(int lane,
-                                            obs::CommPhase fallback) const {
-  const auto it = lane_phase_.find(lane);
-  return it == lane_phase_.end() ? fallback : it->second;
-}
-
-std::vector<obs::PathMessage> TraceRecorder::path_messages() const {
-  std::vector<obs::PathMessage> out;
-  out.reserve(messages_.size());
-  for (const TraceMessage& m : messages_) {
-    out.push_back(obs::PathMessage{m.source, m.destination, m.tag, m.bytes,
-                                   m.depart, m.arrive});
-  }
-  return out;
+void TraceRecorder::clear_lane_phase(int lane) {
+  const auto slot = static_cast<std::size_t>(lane);
+  if (slot < lane_phase_.size()) lane_phase_[slot] = kNoPhase;
 }
 
 std::vector<TraceInterval> TraceRecorder::intervals() const {
   std::vector<TraceInterval> out;
-  out.reserve(spans_.spans().size());
+  out.reserve(spans_.size());
   for (const obs::Span& span : spans_.spans()) {
     if (span.end < span.begin) continue;  // left open (deadlocked run)
     TraceInterval::Kind kind;
@@ -110,8 +100,9 @@ std::string TraceRecorder::chrome_trace_json() const {
   }
   // Flow arrows: an "s" event at the sender's depart, an "f" event at the
   // receiver's arrival, joined by a unique id.
-  for (std::size_t i = 0; i < messages_.size(); ++i) {
-    const auto& m = messages_[i];
+  const std::vector<TraceMessage> messages = messages_.messages();
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const auto& m = messages[i];
     sep();
     os << R"({"name":"msg","ph":"s","id":)" << i
        << R"(,"pid":0,"tid":)" << m.source << R"(,"ts":)" << to_us(m.depart)

@@ -291,12 +291,17 @@ EscapingFailure throw_when_resumed() {
   co_return;
 }
 
-TEST(RunConservative, FailureMidWindowStopsEveryPartitionAtOneRound) {
-  // Partition 2 throws out of an event inside a window while every
-  // partition still has plenty of events. All of them must leave at the
-  // same rendezvous: each healthy one takes part in exactly as many rounds
-  // as the run made, runs exactly as many windows, and runs nothing after
-  // the failing window.
+/// How partition 2 fails in the test below.
+enum class Failure {
+  kEscapingEvent,  ///< an exception escapes an event
+  kTaskRoot,       ///< a rank program (a Task root) throws
+};
+
+void expect_failure_stops_every_partition(Failure kind) {
+  // Partition 2 fails inside a window while every partition still has
+  // plenty of events. All of them must leave at the same rendezvous: each
+  // healthy one takes part in exactly as many rounds as the run made, runs
+  // exactly as many windows, and runs nothing after the failing window.
   constexpr int kPartitions = 4;
   constexpr double kFailAt = 5.05;
   constexpr double kLookahead = 0.5;
@@ -315,7 +320,15 @@ TEST(RunConservative, FailureMidWindowStopsEveryPartitionAtOneRound) {
     s.spawn([](Scheduler& sc, double step) -> Task<void> {
       for (int i = 0; i < 1000; ++i) co_await sc.delay(step);
     }(s, 0.1 + 0.07 * partition));
-    if (partition == 2) s.schedule_at(kFailAt, failure.handle);
+    if (partition != 2) return;
+    if (kind == Failure::kEscapingEvent) {
+      s.schedule_at(kFailAt, failure.handle);
+      return;
+    }
+    s.spawn([](Scheduler& sc, double at) -> Task<void> {
+      co_await sc.resume_at(at);
+      throw std::runtime_error("rank program failed mid-window");
+    }(s, kFailAt));
   };
   hooks.handoff_bound = [&](int partition) {
     ++rounds[static_cast<std::size_t>(partition)];
@@ -350,6 +363,11 @@ TEST(RunConservative, FailureMidWindowStopsEveryPartitionAtOneRound) {
   EXPECT_EQ(run.rendezvous, run.windows + 1);
 }
 
+TEST(RunConservative, FailureMidWindowStopsEveryPartitionAtOneRound) {
+  expect_failure_stops_every_partition(Failure::kEscapingEvent);
+  expect_failure_stops_every_partition(Failure::kTaskRoot);
+}
+
 TEST(RunConservative, PartitionFailureReachesItsErrorSlot) {
   Scheduler healthy;
   Scheduler faulty;
@@ -370,9 +388,13 @@ TEST(RunConservative, PartitionFailureReachesItsErrorSlot) {
   const ConservativeRun run =
       run_conservative({&healthy, &faulty}, 0.5, hooks);
   ASSERT_EQ(run.errors.size(), 2u);
-  EXPECT_EQ(run.errors[0], nullptr);
   ASSERT_NE(run.errors[1], nullptr);
   EXPECT_THROW(std::rethrow_exception(run.errors[1]), std::runtime_error);
+  // The failure stopped the healthy partition too: its unfinished ticker
+  // surfaces as a deadlock at the final check, not as an error of its own.
+  ASSERT_NE(run.errors[0], nullptr);
+  EXPECT_THROW(std::rethrow_exception(run.errors[0]), DeadlockError);
+  EXPECT_LT(healthy.now(), 100.0);
 }
 
 TEST(RunConservative, SuspendedRootReportsDeadlock) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "hetscale/support/error.hpp"
@@ -129,6 +130,55 @@ TEST(Scheduler, TracksQueueDepthHighWaterMark) {
   }
   sched.run();
   EXPECT_EQ(sched.max_queue_depth(), 5u);
+}
+
+TEST(Scheduler, FailedRootStopsTheRunAtOnce) {
+  // Root 0 ticks on long after root 1 throws at t = 3: the run stops at
+  // the failure and surfaces it, not the deadlock the stop leaves behind.
+  Scheduler sched;
+  int ticks = 0;
+  sched.spawn([](Scheduler& s, int& count) -> Task<void> {
+    for (int i = 0; i < 100; ++i) {
+      co_await s.delay(1.0);
+      ++count;
+    }
+  }(sched, ticks));
+  sched.spawn([](Scheduler& s) -> Task<void> {
+    co_await s.delay(3.0);
+    throw std::runtime_error("rank program failed");
+  }(sched));
+  EXPECT_THROW(sched.run(), std::runtime_error);
+  EXPECT_EQ(sched.now(), 3.0);
+  EXPECT_LE(ticks, 3);
+}
+
+TEST(Scheduler, FailureInstantRunsToItsEndAndReportsTheFirstRoot) {
+  // Root 1 fails first at t = 3; root 0 reaches t = 3 through a later
+  // event and fails there too. The run finishes the instant, so both fail,
+  // and reports root 0, the first in spawn order; nothing after t = 3 runs.
+  Scheduler sched;
+  bool ran_later = false;
+  sched.spawn([](Scheduler& s) -> Task<void> {
+    co_await s.delay(1.0);
+    co_await s.delay(2.0);
+    throw std::runtime_error("root 0");
+  }(sched));
+  sched.spawn([](Scheduler& s) -> Task<void> {
+    co_await s.delay(3.0);
+    throw std::runtime_error("root 1");
+  }(sched));
+  sched.spawn([](Scheduler& s, bool& later) -> Task<void> {
+    co_await s.delay(4.0);
+    later = true;
+  }(sched, ran_later));
+  try {
+    sched.run();
+    FAIL() << "expected a root failure";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "root 0");
+  }
+  EXPECT_EQ(sched.now(), 3.0);
+  EXPECT_FALSE(ran_later);
 }
 
 }  // namespace

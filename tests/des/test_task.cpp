@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "hetscale/des/frame_pool.hpp"
 #include "hetscale/des/scheduler.hpp"
 
 namespace hetscale::des {
@@ -86,6 +87,45 @@ TEST(Task, MoveTransfersOwnership) {
 TEST(Task, DestroyWithoutRunningDoesNotLeakOrCrash) {
   { Task<int> t = return_forty_two(); }  // never awaited
   SUCCEED();
+}
+
+TEST(FramePool, ParksEveryFrameUpToTheLivePeak) {
+  // A run that holds more frames of one size at once than the pool's floor
+  // cap (1024 per size) gets all of them back on its freelist when they
+  // complete, so the next round allocates none of them from the heap.
+  constexpr std::size_t kFrames = 3000;
+  constexpr std::size_t kSize = 2000;  // the largest pooled slot size
+  std::vector<void*> frames;
+  frames.reserve(kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    frames.push_back(detail::frame_alloc(kSize));
+  }
+  const std::size_t parked = detail::frame_pool_parked();
+  for (void* frame : frames) detail::frame_free(frame, kSize);
+  EXPECT_EQ(detail::frame_pool_parked() - parked, kFrames);
+  // Reuse drains the freelist instead of the heap.
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    frames[i] = detail::frame_alloc(kSize);
+  }
+  EXPECT_EQ(detail::frame_pool_parked(), parked);
+  for (void* frame : frames) detail::frame_free(frame, kSize);
+}
+
+TEST(FramePool, NewLivePeakTrimsWhatALargerRunParked) {
+  // A long-lived thread that once parked a large run's frames keeps at most
+  // the floor cap (1024 per size) of them once the next run resets the peak.
+  constexpr std::size_t kFrames = 3000;
+  constexpr std::size_t kSize = 2000;
+  std::vector<void*> frames;
+  frames.reserve(kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    frames.push_back(detail::frame_alloc(kSize));
+  }
+  for (void* frame : frames) detail::frame_free(frame, kSize);
+  const std::size_t parked = detail::frame_pool_parked();
+  detail::frame_pool_reset_live_peak();
+  ASSERT_LT(detail::frame_pool_live(), std::size_t{1024});
+  EXPECT_GE(parked - detail::frame_pool_parked(), kFrames - 1024);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ TEST(Span, RecordKeepsOrderAndPayload) {
   store.record(/*lane=*/1, send, 0.5, 2.0, /*peer=*/0, /*tag=*/7,
                /*bytes=*/64.0);
   ASSERT_EQ(store.spans().size(), 1u);
-  const Span& span = store.spans().front();
+  const Span span = store.spans().front();
   EXPECT_EQ(span.lane, 1);
   EXPECT_DOUBLE_EQ(span.begin, 0.5);
   EXPECT_DOUBLE_EQ(span.end, 2.0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hetscale/machine/sunwulf.hpp"
+#include "hetscale/support/args.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::predict {
@@ -49,6 +50,24 @@ TEST(Probe, BarrierTimeAffineInRanks) {
   EXPECT_GT(t6, t3);
   // Affine law: (t12 - t6)/(t6 - t3) = (11-5)/(5-2) = 2.
   EXPECT_NEAR((t12 - t6) / (t6 - t3), 2.0, 0.25);
+}
+
+TEST(Probe, CollectiveProbesAgreeAcrossSimThreads) {
+  // With --sim-threads > 1 a probe's ranks finish on different threads;
+  // each records its own finish, so the result cannot depend on which
+  // thread got there last.
+  const auto config = default_probe();
+  const double bcast = measure_bcast_time(config, 9, 1e4);
+  const double barrier = measure_barrier_time(config, 9);
+  struct SimThreads {
+    int previous = global_sim_threads();
+    SimThreads() { set_global_sim_threads(4); }
+    ~SimThreads() { set_global_sim_threads(previous); }
+  } partitioned;
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(measure_bcast_time(config, 9, 1e4), bcast);
+    EXPECT_EQ(measure_barrier_time(config, 9), barrier);
+  }
 }
 
 TEST(Probe, FittedModelReproducesProbes) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -271,6 +272,58 @@ TEST(Partitioned, DeadlockDiagnosisNamesTheBlockedRank) {
   } catch (const des::DeadlockError& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("matching receive"), std::string::npos) << what;
+  }
+}
+
+/// The error a run of `program` on four one-rank nodes surfaces.
+std::string failure_of(const Machine::Program& program, int sim_threads) {
+  auto machine = Machine::switched(node_per_rank(4), fast_params());
+  machine.set_sim_threads(sim_threads);
+  try {
+    (void)machine.run(program);
+  } catch (const std::exception& error) {
+    return error.what();
+  }
+  return "no failure";
+}
+
+TEST(Partitioned, EarliestRankFailureWinsAtAnySimThreads) {
+  // Rank 3 throws at 20 us and rank 0 at 40 us, both inside the first
+  // window (lookahead 110 us) and, at 2 sim threads, in different
+  // partitions. The sequential run stops at rank 3's failure, so every
+  // partitioning must report rank 3, not the lowest partition's error.
+  const Machine::Program program = [](Comm& comm) -> Task<void> {
+    if (comm.rank() == 3) {
+      co_await comm.compute(1000.0);
+      throw std::runtime_error("rank 3");
+    }
+    if (comm.rank() == 0) {
+      co_await comm.compute(2000.0);
+      throw std::runtime_error("rank 0");
+    }
+    co_await comm.compute(1e6);
+  };
+  for (int sim_threads : {1, 2, 4}) {
+    EXPECT_EQ(failure_of(program, sim_threads), "rank 3")
+        << "sim threads " << sim_threads;
+  }
+}
+
+TEST(Partitioned, SameInstantFailuresReportTheLowestRank) {
+  // Ranks 1 and 2 fail at one instant; rank 1 takes one more zero-length
+  // step first, so rank 2 fails first in the sequential schedule. Every
+  // path runs the instant to its end and reports rank 1.
+  const Machine::Program program = [](Comm& comm) -> Task<void> {
+    if (comm.rank() == 1 || comm.rank() == 2) {
+      co_await comm.compute(1000.0);
+      if (comm.rank() == 1) co_await comm.compute(0.0);
+      throw std::runtime_error("rank " + std::to_string(comm.rank()));
+    }
+    co_await comm.compute(1e6);
+  };
+  for (int sim_threads : {1, 2, 4}) {
+    EXPECT_EQ(failure_of(program, sim_threads), "rank 1")
+        << "sim threads " << sim_threads;
   }
 }
 

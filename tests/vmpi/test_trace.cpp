@@ -84,7 +84,7 @@ TEST(Trace, MessagesCarryEndpointsAndTimes) {
   auto machine = Machine::switched(pair_cluster());
   auto& tracer = machine.enable_tracing();
   traced_pingpong(machine);
-  const auto& first = tracer.messages().front();
+  const TraceMessage first = tracer.messages().front();
   EXPECT_EQ(first.source, 0);
   EXPECT_EQ(first.destination, 1);
   EXPECT_EQ(first.tag, 7);
